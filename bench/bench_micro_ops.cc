@@ -8,7 +8,9 @@
 // candidate-generation benchmarks, and — under
 // `--assert-steady-state-allocs` — fails unless the second Extract call on
 // a warm ExtractScratch performs zero heap allocations, for every filter
-// strategy (DESIGN.md §10; wired into tools/check.sh as the `alloc` step).
+// strategy, including when the second document brings unknown words the
+// first did not (DESIGN.md §10; wired into tools/check.sh as the `alloc`
+// step).
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +20,7 @@
 #include <filesystem>
 #include <new>
 #include <random>
+#include <string>
 #include <string_view>
 
 #include "src/core/aeetes.h"
@@ -229,10 +232,29 @@ void BM_PrefixLength(benchmark::State& state) {
 }
 BENCHMARK(BM_PrefixLength);
 
-/// `--assert-steady-state-allocs`: builds a full extractor, runs one
-/// warm-up Extract per strategy on a shared scratch, then asserts the
-/// second (steady-state) call allocates nothing. Exit 0 iff all four
-/// strategies are allocation-free.
+/// Renders `tokens` as text, replacing every fifth token with a word the
+/// dictionary does not know: "<unknown_prefix><position>".
+std::string TextWithUnknownWords(const TokenSeq& tokens,
+                                 const TokenDictionary& dict,
+                                 const char* unknown_prefix) {
+  std::string text;
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    if (i > 0) text += ' ';
+    if (i % 5 == 4) {
+      text += testutil::NumberedName(unknown_prefix, i);
+    } else {
+      text += dict.Text(tokens[i]);
+    }
+  }
+  return text;
+}
+
+/// `--assert-steady-state-allocs`: builds a full extractor and, per filter
+/// strategy, asserts that an Extract on a warm scratch allocates nothing
+/// in two cases: the warm-up document again, and a second encoded
+/// document of the same length whose unknown words differ from the
+/// warm-up's (unknown words must not grow anything sized by the
+/// dictionary). Exit 0 iff every case is allocation-free.
 int RunSteadyStateAssert() {
   std::mt19937_64 rng(7);
   auto world = testutil::MakeRandomWorld(rng, /*vocab=*/200,
@@ -242,28 +264,41 @@ int RunSteadyStateAssert() {
   auto built = Aeetes::FromDerivedDictionary(std::move(world.dd));
   AEETES_CHECK(built.ok());
   const Aeetes& aeetes = **built;
+  const TokenDictionary& dict = aeetes.derived_dictionary().token_dict();
+  const Document first = aeetes.EncodeDocument(
+      TextWithUnknownWords(world.doc_tokens, dict, "firstunknown"));
+  const Document second = aeetes.EncodeDocument(
+      TextWithUnknownWords(world.doc_tokens, dict, "secondunknown"));
+  AEETES_CHECK_EQ(first.size(), second.size());
 
   int failures = 0;
-  ExtractScratch scratch;
-  for (const FilterStrategy strategy :
-       {FilterStrategy::kSimple, FilterStrategy::kSkip,
-        FilterStrategy::kDynamic, FilterStrategy::kLazy}) {
-    auto warm = aeetes.ExtractIntoWithStrategy(scratch, doc, 0.8, strategy);
+  auto measure = [&](const char* label, FilterStrategy strategy,
+                     const Document& warm_doc, const Document& steady_doc) {
+    ExtractScratch scratch;
+    auto warm = aeetes.ExtractIntoWithStrategy(scratch, warm_doc, 0.8,
+                                               strategy);
     AEETES_CHECK(warm.ok());
     const uint64_t before = AllocationCount();
-    auto steady = aeetes.ExtractIntoWithStrategy(scratch, doc, 0.8, strategy);
+    auto steady = aeetes.ExtractIntoWithStrategy(scratch, steady_doc, 0.8,
+                                                 strategy);
     const uint64_t allocs = AllocationCount() - before;
     AEETES_CHECK(steady.ok());
     AEETES_CHECK_EQ(warm->verify_stats.matched, steady->verify_stats.matched);
-    std::printf("steady-state %-7s matches=%llu heap allocations=%llu%s\n",
+    std::printf("%-13s %-7s matches=%llu heap allocations=%llu%s\n", label,
                 FilterStrategyName(strategy),
                 static_cast<unsigned long long>(steady->verify_stats.matched),
                 static_cast<unsigned long long>(allocs),
                 allocs == 0 ? "" : "  <-- FAIL");
     if (allocs != 0) ++failures;
+  };
+  for (const FilterStrategy strategy :
+       {FilterStrategy::kSimple, FilterStrategy::kSkip,
+        FilterStrategy::kDynamic, FilterStrategy::kLazy}) {
+    measure("steady-state", strategy, doc, doc);
+    measure("new-unknowns", strategy, first, second);
   }
   if (failures > 0) {
-    std::printf("FAIL: %d strategies allocate in steady state\n", failures);
+    std::printf("FAIL: %d cases allocate in steady state\n", failures);
     return 1;
   }
   std::printf("OK: steady-state Extract is allocation-free\n");

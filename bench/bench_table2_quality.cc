@@ -94,8 +94,38 @@ DatasetProfile QualityProfile(DatasetProfile base) {
   return base;
 }
 
+/// The Jaccard and FJ baselines' token space: a dictionary of its own
+/// holding every entity word and every document word, interned before
+/// Freeze so FJ sees the text of misspelled document words.
+struct BaselineCorpus {
+  std::shared_ptr<TokenDictionary> dict = std::make_shared<TokenDictionary>();
+  std::vector<TokenSeq> entities;
+  std::vector<Document> docs;
+};
+
+BaselineCorpus EncodeBaselineCorpus(const SyntheticDataset& ds) {
+  BaselineCorpus out;
+  Tokenizer tokenizer;
+  for (const std::string& e : ds.entity_texts) {
+    out.entities.push_back(out.dict->Encode(tokenizer.TokenizeToStrings(e)));
+    for (const TokenId t : out.entities.back()) {
+      AEETES_CHECK(out.dict->AddFrequency(t).ok());
+    }
+  }
+  for (const std::string& d : ds.documents) {
+    [[maybe_unused]] const TokenSeq ids =
+        out.dict->Encode(tokenizer.TokenizeToStrings(d));
+  }
+  out.dict->Freeze();
+  for (const std::string& d : ds.documents) {
+    out.docs.push_back(Document::FromText(d, tokenizer, *out.dict));
+  }
+  return out;
+}
+
 void CaseStudy(const SyntheticDataset& ds, const Aeetes& aeetes,
-               const std::vector<Document>& docs) {
+               const std::vector<Document>& docs,
+               const BaselineCorpus& baseline) {
   // Figure 8: show one synonym-variant marked pair with all three scores.
   for (const GroundTruthPair& gt : ds.ground_truth) {
     if (gt.kind != MentionKind::kSynonymVariant) continue;
@@ -104,16 +134,23 @@ void CaseStudy(const SyntheticDataset& ds, const Aeetes& aeetes,
         doc.SubstringText(gt.token_begin, gt.token_len);
     const std::string entity = ds.entity_texts[gt.entity];
 
-    const TokenDictionary& dict = aeetes.derived_dictionary().token_dict();
-    TokenSeq window(doc.tokens().begin() + gt.token_begin,
-                    doc.tokens().begin() + gt.token_begin + gt.token_len);
-    const TokenSeq wset = BuildOrderedSet(window, dict);
-    const TokenSeq eset = BuildOrderedSet(
-        aeetes.derived_dictionary().origin_entity(gt.entity), dict);
-    const double jac = JaccardOnOrderedSets(wset, eset, dict);
-    const double fj = FuzzyJaccard().Similarity(wset, eset, dict);
+    const auto window = [&](const Document& d, const TokenDictionary& dict) {
+      return BuildOrderedSet(
+          TokenSeq(d.tokens().begin() + gt.token_begin,
+                   d.tokens().begin() + gt.token_begin + gt.token_len),
+          dict);
+    };
+    const TokenDictionary& bdict = *baseline.dict;
+    const TokenSeq bset = window(baseline.docs[gt.doc], bdict);
+    const TokenSeq eset = BuildOrderedSet(baseline.entities[gt.entity], bdict);
+    const double jac = JaccardOnOrderedSets(bset, eset, bdict);
+    const double fj = FuzzyJaccard().Similarity(bset, eset, bdict);
     const JaccArVerifier verifier(aeetes.derived_dictionary());
-    const double jaccar = verifier.Score(gt.entity, wset).score;
+    const double jaccar =
+        verifier
+            .Score(gt.entity,
+                   window(doc, aeetes.derived_dictionary().token_dict()))
+            .score;
 
     std::cout << "  case study [" << ds.profile.name << "]\n"
               << "    substring: \"" << substring << "\"\n"
@@ -156,43 +193,24 @@ int main() {
       docs.push_back(aeetes->EncodeDocument(d));
     }
 
-    // Plain-Jaccard extractor: Faerie over the origin dictionary sharing
-    // the same token space.
-    Tokenizer tokenizer;
-    std::vector<TokenSeq> origin_entities;
-    {
-      for (const std::string& e : ds.entity_texts) {
-        TokenSeq enc;
-        for (const std::string& w : tokenizer.TokenizeToStrings(e)) {
-          enc.push_back(const_cast<TokenDictionary&>(
-                            aeetes->derived_dictionary().token_dict())
-                            .GetOrAdd(w));
-        }
-        origin_entities.push_back(std::move(enc));
-      }
-    }
-    auto jaccard_faerie = Faerie::Build(
-        origin_entities,
-        std::shared_ptr<TokenDictionary>(
-            const_cast<TokenDictionary*>(
-                &aeetes->derived_dictionary().token_dict()),
-            [](TokenDictionary*) {}));
+    // Plain-Jaccard (Faerie) and FJ extractors over the origin dictionary.
+    const BaselineCorpus baseline = EncodeBaselineCorpus(ds);
+    auto jaccard_faerie = Faerie::Build(baseline.entities, baseline.dict);
     AEETES_CHECK(jaccard_faerie.ok());
-
-    FuzzyExtractor fj_extractor(origin_entities,
-                                aeetes->derived_dictionary().token_dict());
+    const FuzzyExtractor fj_extractor(baseline.entities, *baseline.dict);
 
     for (double tau : {0.7, 0.8, 0.9}) {
       std::vector<std::vector<Match>> jac_matches, fj_matches, ar_matches;
-      for (const Document& doc : docs) {
+      for (size_t d = 0; d < docs.size(); ++d) {
         std::vector<Match> jm;
-        for (const auto& m : (*jaccard_faerie)->Extract(doc, tau)) {
+        for (const auto& m :
+             (*jaccard_faerie)->Extract(baseline.docs[d], tau)) {
           jm.push_back(Match{m.token_begin, m.token_len, m.entity, m.score,
                              JaccArScore::kNoDerived});
         }
         jac_matches.push_back(std::move(jm));
-        fj_matches.push_back(fj_extractor.Extract(doc, tau));
-        auto r = aeetes->Extract(doc, tau);
+        fj_matches.push_back(fj_extractor.Extract(baseline.docs[d], tau));
+        auto r = aeetes->Extract(docs[d], tau);
         AEETES_CHECK(r.ok());
         ar_matches.push_back(std::move(r->matches));
       }
@@ -208,7 +226,7 @@ int main() {
       }
       std::cout << "\n";
     }
-    CaseStudy(ds, *aeetes, docs);
+    CaseStudy(ds, *aeetes, docs, baseline);
   }
   std::cout << "\nexpected shape (paper): JaccAR F-measure ~0.9+ dominates "
                "both baselines at every tau; FJ precision > Jaccard "

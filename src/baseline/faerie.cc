@@ -8,18 +8,18 @@
 namespace aeetes {
 
 Result<std::unique_ptr<Faerie>> Faerie::Build(
-    std::vector<TokenSeq> entities, std::shared_ptr<TokenDictionary> dict,
-    Options options) {
+    std::vector<TokenSeq> entities,
+    std::shared_ptr<const TokenDictionary> dict, Options options) {
   if (entities.empty()) {
     return Status::InvalidArgument("entity dictionary must be non-empty");
   }
-  if (dict == nullptr) {
-    return Status::InvalidArgument("token dictionary must be non-null");
+  if (dict == nullptr || !dict->frozen()) {
+    return Status::InvalidArgument(
+        "token dictionary must be non-null and frozen");
   }
   auto f = std::unique_ptr<Faerie>(new Faerie());
   f->options_ = options;
   f->dict_ = std::move(dict);
-  if (!f->dict_->frozen()) f->dict_->Freeze();
 
   f->entity_sets_.reserve(entities.size());
   f->min_set_size_ = static_cast<size_t>(-1);

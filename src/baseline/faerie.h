@@ -39,10 +39,11 @@ class Faerie {
 
   /// Builds the inverted index over `entities` (token sequences; distinct
   /// token sets are what similarity is computed on). The dictionary must
-  /// already contain all entity tokens; it is frozen if not yet frozen.
+  /// already contain all entity tokens and be frozen (InvalidArgument
+  /// otherwise).
   static Result<std::unique_ptr<Faerie>> Build(
-      std::vector<TokenSeq> entities, std::shared_ptr<TokenDictionary> dict,
-      Options options = Options());
+      std::vector<TokenSeq> entities,
+      std::shared_ptr<const TokenDictionary> dict, Options options = Options());
 
   struct FaerieMatch {
     uint32_t token_begin = 0;
@@ -70,7 +71,7 @@ class Faerie {
   Faerie() = default;
 
   Options options_;
-  std::shared_ptr<TokenDictionary> dict_;
+  std::shared_ptr<const TokenDictionary> dict_;
   /// Ordered (by rank) distinct token sets per entity.
   std::vector<TokenSeq> entity_sets_;
   /// token -> entity ids containing it (flattened CSR).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "src/common/logging.h"
 #include "src/sim/similarity.h"
 #include "src/text/token_set.h"
 
@@ -27,6 +28,12 @@ std::vector<Match> FuzzyExtractor::Extract(const Document& doc,
                                            double tau) const {
   std::vector<Match> out;
   const size_t n = doc.size();
+  // FJ compares token texts, read from the dictionary: a document word it
+  // does not hold (an id past its end) has no text there.
+  for (const TokenId t : doc.tokens()) {
+    AEETES_CHECK_LT(t, dict_.size())
+        << "FuzzyExtractor: document word missing from its dictionary";
+  }
   // The fuzzy matching weight M satisfies M <= min(|s|, |e|), so FJ obeys
   // the same length filter as Jaccard.
   const LengthRange win_len =

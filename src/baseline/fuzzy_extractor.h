@@ -14,7 +14,8 @@ namespace aeetes {
 /// The FJ baseline of Table 2: sliding-window extraction under Fuzzy
 /// Jaccard (typo-tolerant token matching, no synonym awareness).
 /// Brute-force verification — intended for the effectiveness experiments,
-/// which use modest corpora.
+/// which use modest corpora. FJ reads token texts from `dict`, so every
+/// document word must be interned in it before Freeze (CHECKed).
 class FuzzyExtractor {
  public:
   FuzzyExtractor(std::vector<TokenSeq> entities, const TokenDictionary& dict,

@@ -23,6 +23,10 @@ namespace aeetes {
 ///    allocates again.
 ///  * No per-key erase. Stale slots (epoch mismatch) act as empty, which
 ///    keeps linear probing correct without tombstones.
+///  * Growth re-inserts the live keys in insertion order, so a table that
+///    grew during one pass is laid out exactly as the next pass over the
+///    same keys will lay it out: each key lands on its own previous value,
+///    capacity included, and the first repeat already allocates nothing.
 ///
 /// Contract on insertion: TryEmplace returns `inserted == true` when the
 /// key was absent, but the value slot may hold leftovers from a previous
@@ -36,14 +40,14 @@ class FlatMap {
  public:
   FlatMap() = default;
 
-  [[nodiscard]] size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] size_t size() const { return order_.size(); }
+  [[nodiscard]] bool empty() const { return order_.empty(); }
   [[nodiscard]] size_t capacity() const { return slots_.size(); }
 
   /// Drops every entry in O(1). Slot storage and slot values survive (see
   /// class comment).
   void Clear() {
-    size_ = 0;
+    order_.clear();
     ++epoch_;
     if (epoch_ == 0) {  // wrapped: lazily restamp so stale != current
       for (Slot& s : slots_) s.epoch = 0;
@@ -61,14 +65,14 @@ class FlatMap {
   /// Returns {value pointer, inserted}. On insertion the value is NOT
   /// reset (class comment); the caller must overwrite it.
   std::pair<V*, bool> TryEmplace(K key) {
-    if (NeedsGrowth(size_ + 1, slots_.size())) {
+    if (NeedsGrowth(order_.size() + 1, slots_.size())) {
       Rehash(slots_.empty() ? kMinCapacity : slots_.size() * 2);
     }
     Slot& s = Probe(key);
     if (s.epoch == epoch_) return {&s.value, false};
     s.key = key;
     s.epoch = epoch_;
-    ++size_;
+    order_.push_back(static_cast<uint32_t>(&s - slots_.data()));
     return {&s.value, true};
   }
 
@@ -122,23 +126,23 @@ class FlatMap {
   void Rehash(size_t new_cap) {
     AEETES_DCHECK_EQ(new_cap & (new_cap - 1), size_t{0});
     std::vector<Slot> old = std::move(slots_);
-    const uint32_t old_epoch = epoch_;
     slots_.clear();
     slots_.resize(new_cap);  // all epochs 0
     epoch_ = 1;
-    size_ = 0;
-    for (Slot& s : old) {
-      if (s.epoch != old_epoch) continue;  // stale value: capacity dropped
-      Slot& dst = Probe(s.key);
-      dst.key = s.key;
+    // Live keys only (stale values drop their capacity), in insertion order.
+    for (uint32_t& index : order_) {
+      Slot& src = old[index];
+      Slot& dst = Probe(src.key);
+      dst.key = src.key;
       dst.epoch = epoch_;
-      dst.value = std::move(s.value);
-      ++size_;
+      dst.value = std::move(src.value);
+      index = static_cast<uint32_t>(&dst - slots_.data());
     }
   }
 
   std::vector<Slot> slots_;
-  size_t size_ = 0;
+  /// Slot index of every live key, in insertion order.
+  std::vector<uint32_t> order_;
   uint32_t epoch_ = 1;  // slots default to epoch 0 == stale
 };
 

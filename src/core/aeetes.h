@@ -8,10 +8,8 @@
 #include <vector>
 
 #include "src/common/metrics.h"
-#include "src/common/mutex.h"
 #include "src/common/status.h"
 #include "src/common/telemetry.h"
-#include "src/common/thread_annotations.h"
 #include "src/core/candidate_generator.h"
 #include "src/core/delta_layer.h"
 #include "src/core/document.h"
@@ -53,24 +51,15 @@ struct AeetesOptions {
 /// ----------------------
 /// After Build returns, every const method is safe to call concurrently
 /// from any number of threads against one shared instance: the online path
-/// (Extract / ExtractWithStrategy / ExtractInto / LookupString / Explain)
-/// keeps all per-call state on the caller's stack or in the caller's
-/// ExtractScratch (one per thread) and reads the derived dictionary
-/// and index, which are immutable after construction. The only mutable
-/// member, the metrics registry, is updated with relaxed atomics and may
-/// be read (metrics().ToJson()) while extractions run. Distinct
-/// TraceRecorders may be passed from distinct threads; one recorder must
-/// not be shared by concurrent calls.
-///
-/// EncodeDocument is the exception: it interns unseen document tokens into
-/// the shared dictionary and must not run concurrently with anything else
-/// on the same instance — encode documents serially (or up front), then
-/// extract in parallel. This is the split ParallelExtractor builds on.
-/// Since this PR the encode side of the contract is compiler-visible:
-/// EncodeDocument serializes concurrent encoders through `encode_mu_`
-/// (annotated, so the analysis rejects holding it across extraction
-/// entry points). The encode-vs-extract half remains a documented
-/// contract — the read side is deliberately lock-free.
+/// (EncodeDocument / Extract / ExtractWithStrategy / ExtractInto /
+/// LookupString / Explain) keeps all per-call state on the caller's stack,
+/// in the Document or in the caller's ExtractScratch (one per thread) and
+/// only reads the derived dictionary and index, which are immutable after
+/// construction — encoding included: the dictionary never grows after
+/// build (see Document). The only mutable member, the metrics registry, is
+/// updated with relaxed atomics and may be read (metrics().ToJson()) while
+/// extractions run. Distinct TraceRecorders may be passed from distinct
+/// threads; one recorder must not be shared by concurrent calls.
 class Aeetes {
  public:
   /// Offline stage from pre-encoded entities. `dict` must hold all entity
@@ -95,11 +84,9 @@ class Aeetes {
   static Result<std::unique_ptr<Aeetes>> FromImage(
       std::unique_ptr<EngineImage> image, AeetesOptions options = {});
 
-  /// Tokenizes and interns a document against this instance's dictionary.
-  /// Concurrent EncodeDocument calls are serialized through `encode_mu_`;
-  /// encoding must still not overlap Extract on the same instance (see
-  /// the class comment).
-  Document EncodeDocument(std::string_view text) AEETES_EXCLUDES(encode_mu_);
+  /// Tokenizes and encodes a document against this instance's dictionary
+  /// (read-only; see Document::FromText).
+  [[nodiscard]] Document EncodeDocument(std::string_view text) const;
 
   struct ExtractionResult {
     std::vector<Match> matches;
@@ -156,8 +143,7 @@ class Aeetes {
   /// Matches a single mention string (not a document) against the
   /// dictionary: the whole string is one window. Returns up to `k` hits
   /// with JaccAR >= tau, best first — the "which entity is this?" lookup
-  /// used by autocomplete / record-linkage callers. Const (mention tokens
-  /// are never interned), so safe to call concurrently with extractions.
+  /// used by autocomplete / record-linkage callers.
   Result<std::vector<Lookup>> LookupString(std::string_view mention,
                                            double tau, size_t k = 5) const;
 
@@ -262,7 +248,7 @@ class Aeetes {
       : options_(options),
         tokenizer_(options.tokenizer),
         image_(std::move(image)),
-        dd_(&image_->mutable_derived_dictionary()),
+        dd_(&image_->derived_dictionary()),
         index_(&image_->index()),
         pipeline_(metrics_) {}
 
@@ -272,13 +258,9 @@ class Aeetes {
 
   AeetesOptions options_;
   Tokenizer tokenizer_;
-  /// Serializes EncodeDocument's dictionary interning (the overflow tier
-  /// in TokenDictionary — the only state Extract's const path never
-  /// writes). Cold path: one uncontended lock per encoded document.
-  Mutex encode_mu_;
   /// Owns the arena plus the views wired over it; dd_/index_ alias it.
   std::unique_ptr<EngineImage> image_;
-  DerivedDictionary* dd_;
+  const DerivedDictionary* dd_;
   const ClusteredIndex* index_;
   mutable MetricsRegistry metrics_;
   PipelineMetrics pipeline_;

@@ -67,8 +67,9 @@ void DeltaIndex::CollectMatches(const Document& doc,
   const TokenSeq& tokens = doc.tokens();
 
   // Phase 1: bridge document tokens into the delta token space by text
-  // (memoized per distinct TokenId; the dictionary read side is as safe as
-  // extraction's own reads).
+  // (memoized per distinct TokenId). The document supplies the text, so
+  // its unknown tokens bridge too: an upserted entity may use words the
+  // frozen dictionary has never seen.
   buf.token_cache.Clear();
   buf.pos_delta.clear();
   buf.pos_delta.resize(n, 0);
@@ -76,7 +77,7 @@ void DeltaIndex::CollectMatches(const Document& doc,
   for (size_t i = 0; i < n; ++i) {
     auto [slot, inserted] = buf.token_cache.TryEmplace(tokens[i]);
     if (inserted) {
-      const auto it = token_of_text_.find(dict.Text(tokens[i]));
+      const auto it = token_of_text_.find(doc.TokenText(tokens[i], dict));
       *slot = it == token_of_text_.end() ? 0 : it->second + 1;
     }
     buf.pos_delta[i] = *slot;

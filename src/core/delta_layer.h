@@ -111,8 +111,8 @@ class DeltaIndex {
   /// sorted by (token_begin, token_len, entity) and carry entity ids
   /// disjoint from frozen ids, so merging with the frozen run is a stable
   /// merge with no duplicates. `dict` is the engine's dictionary the
-  /// document was encoded against (read-only; safe concurrently with
-  /// extraction by the engine's own contract).
+  /// document was encoded against; document tokens are matched to delta
+  /// tokens by text (Document::TokenText).
   ///
   /// Exactness: scoring mirrors JaccArVerifier::BestAboveRanksPartner
   /// operation for operation — partner length filter, the hoisted
@@ -163,10 +163,10 @@ struct DeltaMutation {
 /// Thread-safety: fully internally synchronized. Mutations serialize on an
 /// internal mutex, rebuild an immutable DeltaIndex and publish it; readers
 /// call snapshot() (one brief lock) and then run lock-free against the
-/// returned index. The layer never touches the engine's shared
-/// TokenDictionary — it interns into a private token space and bridges by
-/// token text at query time — so mutations are safe concurrently with
-/// extraction *and* with document encoding.
+/// returned index. The layer never touches the engine's TokenDictionary —
+/// it interns into a private token space and bridges by token text at
+/// query time (Document::TokenText) — so mutations are safe concurrently
+/// with extraction.
 ///
 /// Update semantics (keyed by normalized token-joined text):
 ///  * Upsert of a live frozen origin's exact text: no-op.

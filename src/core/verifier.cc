@@ -65,7 +65,6 @@ void VerifyCandidatesInto(std::vector<Candidate>& candidates,
     const JaccArScore score =
         early_termination
             ? verifier.BestAboveRanksPartner(c.origin, ordered_ranks.data(),
-                                             ordered_ranks.size(),
                                              ordered_ranks.size(), tau,
                                              partner)
             : verifier.Score(c.origin, ordered_set, tau);

@@ -109,8 +109,8 @@ Result<std::unique_ptr<ClusteredIndex>> ClusteredIndex::WireFromImage(
   AEETES_ASSIGN_OR_RETURN(idx->entries_,
                           view.array<PostingEntry>(img::kIndexEntries));
 
-  // A saved dictionary may carry document tokens interned after the index
-  // was built; those have no posting lists.
+  // An older image's dictionary may carry document tokens interned after
+  // the index was built; those have no posting lists.
   if (idx->lists_.size() > token_count) {
     return Status::IOError("engine image: index lists exceed token count");
   }

@@ -30,8 +30,7 @@ namespace server {
 /// keeps the whole engine (image, index, extractor pool) alive until it
 /// finishes, even if the collection is swapped or deleted meanwhile —
 /// that refcount IS the retirement protocol. After publication the engine
-/// is read-only except for Aeetes' designated-mutable members (metrics,
-/// encode interning, which the batcher serializes).
+/// is read-only except for Aeetes' designated-mutable member (metrics).
 struct ServingEngine {
   std::string name;
   uint64_t version = 1;  // bumps on every swap / compaction

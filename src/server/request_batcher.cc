@@ -106,8 +106,6 @@ void RequestBatcher::RunGroup(std::vector<Job> group) {
   batches_.Increment();
   batch_size_.Record(total_docs);
 
-  // Encode serially on this thread — the contract point: no Extract is in
-  // flight on this engine while interning happens.
   std::vector<Document> documents;
   documents.reserve(total_docs);
   for (const Job& job : group) {

@@ -23,12 +23,9 @@ namespace server {
 /// (engine, tau, strategy) becomes a single ExtractAll call, so many small
 /// requests ride one fan-out over the PR-3 pool instead of paying per-
 /// request submission overhead. Per-document results return to each
-/// submitter in its original document order.
-///
-/// The dispatcher is also the serialization point the Aeetes thread-safety
-/// contract requires: EncodeDocument (which interns tokens) and Extract
-/// never overlap on an engine because both only ever run on this one
-/// thread — the pool workers under ExtractAll touch only the const path.
+/// submitter in its original document order. Documents are encoded on
+/// the dispatcher thread, then extracted on the pool; both are const on
+/// the engine.
 ///
 /// Each job pins its engine via shared_ptr: a swap or delete between
 /// submit and dispatch retires the old engine only after the batch that

@@ -33,11 +33,11 @@ JaccArScore JaccArVerifier::Score(EntityId e,
 
 JaccArScore JaccArVerifier::BestAbove(EntityId e,
                                       const TokenSeq& substring_ordered_set,
-                                      double tau, size_t padding) const {
+                                      double tau) const {
   JaccArScore best;
   const auto [begin, end] = dd_.DerivedRange(e);
   const TokenDictionary& dict = dd_.token_dict();
-  const size_t x = substring_ordered_set.size() + padding;
+  const size_t x = substring_ordered_set.size();
   const LengthRange partner = PartnerLengthRange(options_.metric, x, tau);
   // The length filter rejects most derived entities on size alone, so it
   // runs as a binary search over the dictionary's size-sorted index (4-byte
@@ -84,16 +84,17 @@ JaccArScore JaccArVerifier::BestAbove(EntityId e,
 
 JaccArScore JaccArVerifier::BestAboveRanks(EntityId e,
                                            const TokenRank* substring_ranks,
-                                           size_t substring_size, double tau,
-                                           size_t padding) const {
-  const size_t x = substring_size + padding;
-  return BestAboveRanksPartner(e, substring_ranks, substring_size, x, tau,
-                               PartnerLengthRange(options_.metric, x, tau));
+                                           size_t substring_size,
+                                           double tau) const {
+  return BestAboveRanksPartner(
+      e, substring_ranks, substring_size, tau,
+      PartnerLengthRange(options_.metric, substring_size, tau));
 }
 
 JaccArScore JaccArVerifier::BestAboveRanksPartner(
     EntityId e, const TokenRank* substring_ranks, size_t substring_size,
-    size_t x, double tau, const LengthRange& partner) const {
+    double tau, const LengthRange& partner) const {
+  const size_t x = substring_size;
   JaccArScore best;
   const auto [begin, end] = dd_.DerivedRange(e);
   const Span<uint32_t> sizes = dd_.size_sorted_sizes();

@@ -53,31 +53,23 @@ class JaccArVerifier {
   /// after a few token comparisons. The returned score is exact whenever
   /// it is >= tau; when JaccAR(e, s) < tau the returned score is 0 with no
   /// witness. This is what the verification phase uses.
-  ///
-  /// `padding` counts distinct substring tokens that are not materialized
-  /// in `substring_ordered_set` but are known to occur in no derived
-  /// entity (e.g. mention tokens absent from the dictionary, which a const
-  /// caller cannot intern): they enlarge the substring's set size without
-  /// ever contributing overlap, exactly as frequency-0 interned tokens do.
   JaccArScore BestAbove(EntityId e, const TokenSeq& substring_ordered_set,
-                        double tau, size_t padding = 0) const;
+                        double tau) const;
 
   /// BestAbove over the substring's pre-materialized rank array (see
   /// BuildOrderedRanksInto). The overlap merges compare plain integers
   /// against the dictionary's flat per-derived rank arena — this is the
   /// verification hot path.
   JaccArScore BestAboveRanks(EntityId e, const TokenRank* substring_ranks,
-                             size_t substring_size, double tau,
-                             size_t padding = 0) const;
+                             size_t substring_size, double tau) const;
 
   /// Hot-path variant with the substring-dependent inputs precomputed by
-  /// the caller: `x` is the padded substring set size and `partner` its
-  /// partner length range — both constant per substring, so verification
-  /// computes them once per window instead of once per candidate.
+  /// the caller: `partner` is the partner length range of the substring
+  /// set size — constant per substring, so verification computes it once
+  /// per window instead of once per candidate.
   JaccArScore BestAboveRanksPartner(EntityId e,
                                     const TokenRank* substring_ranks,
-                                    size_t substring_size, size_t x,
-                                    double tau,
+                                    size_t substring_size, double tau,
                                     const LengthRange& partner) const;
 
   [[nodiscard]] const JaccArOptions& options() const { return options_; }

@@ -176,7 +176,6 @@ class DerivedDictionary {
   }
 
   [[nodiscard]] const TokenDictionary& token_dict() const { return *dict_; }
-  TokenDictionary& mutable_token_dict() { return *dict_; }
 
   /// Derived ids belonging to origin `e` (contiguous range).
   [[nodiscard]] std::pair<DerivedId, DerivedId> DerivedRange(EntityId e) const {
@@ -240,7 +239,7 @@ class DerivedDictionary {
       DerivedDictParts parts);
 
   AlignedBuffer backing_;  // private arena; empty when EngineImage owns it
-  std::unique_ptr<TokenDictionary> dict_;
+  std::unique_ptr<const TokenDictionary> dict_;
 
   Span<uint64_t> origin_token_begin_;  // num_origins + 1
   Span<TokenId> origin_tokens_;

@@ -18,23 +18,25 @@ namespace aeetes {
 
 /// Interns token strings to dense TokenIds and maintains the global token
 /// order O of the paper: ascending frequency over the *derived dictionary*,
-/// ties by id. Document tokens absent from the dictionary ("invalid
-/// tokens") are interned with frequency 0, which puts them at the rare end
-/// of the order — the treatment prescribed in Section 3.2 of the paper.
+/// ties by id.
 ///
 /// Usage: intern entity/rule tokens while calling AddFrequency, then call
-/// Freeze(). After Freeze(), frequencies of existing tokens are immutable
-/// (so ranks are stable), but new (invalid) tokens may still be interned
-/// while encoding documents.
+/// Freeze(). A frozen dictionary is read-only: GetOrAdd on it is a CHECK
+/// failure, so its size and every rank are fixed for its lifetime and any
+/// number of threads may read it without synchronization.
 ///
-/// Storage is two-tiered (DESIGN.md §11). The *base* tier is a set of
-/// `Span` views over an engine image — one concatenated text blob, an
-/// offset table, the frequency array and a persisted open-addressing hash
-/// table — shared zero-copy with the arena (heap or mmap) that backs the
-/// image. The *overflow* tier is the familiar mutable map/vector pair and
-/// holds only tokens interned after the base was sealed (unseen document
-/// tokens, frequency 0), with ids continuing past the base. A dictionary
-/// built from scratch simply has an empty base.
+/// Document tokens are never interned. Section 3.2 of the paper only needs
+/// a token absent from the dictionary ("invalid token") to be a distinct,
+/// frequency-0 token at the rare end of the order; Document::FromText
+/// gives each one an id at or above size(), and frequency(), Rank() and
+/// IsValid() accept such ids and treat them as frequency 0.
+///
+/// Storage (DESIGN.md §11): a dictionary is either *built* — the familiar
+/// map/vector pair, filled by GetOrAdd before Freeze() — or *wired* from an
+/// engine image by WireFromImage: `Span` views over one concatenated text
+/// blob, an offset table, the frequency array and a persisted
+/// open-addressing hash table, shared zero-copy with the arena (heap or
+/// mmap) that backs the image. Never both.
 class TokenDictionary {
  public:
   TokenDictionary() = default;
@@ -44,7 +46,8 @@ class TokenDictionary {
   TokenDictionary(TokenDictionary&&) = default;
   TokenDictionary& operator=(TokenDictionary&&) = default;
 
-  /// Interns `text`, returning its id (existing or fresh).
+  /// Interns `text`, returning its id (existing or fresh). CHECK-fails on
+  /// a frozen dictionary.
   TokenId GetOrAdd(std::string_view text);
 
   /// Returns the id of `text` if interned.
@@ -58,9 +61,11 @@ class TokenDictionary {
   void Freeze() { frozen_ = true; }
   [[nodiscard]] bool frozen() const { return frozen_; }
 
-  /// Dictionary frequency (0 for invalid tokens).
+  /// Dictionary frequency; 0 for invalid tokens, including every id at or
+  /// above size() (a document's unknown tokens).
   [[nodiscard]] uint64_t frequency(TokenId id) const {
-    return id < base_count_ ? base_freq_[id] : freq_[id - base_count_];
+    if (id < base_count_) return base_freq_[id];
+    return id < freq_.size() ? freq_[id] : 0;
   }
 
   /// A token is valid iff it occurs in the derived dictionary.
@@ -73,36 +78,32 @@ class TokenDictionary {
            static_cast<TokenRank>(id);
   }
 
-  /// Token text. The view stays valid until the next GetOrAdd/Encode call
-  /// (overflow-tier storage may move when the dictionary grows); base-tier
-  /// views live as long as the backing image.
+  /// Token text of an interned id (`id < size()`; a document's unknown
+  /// tokens have their text in the Document). Views into a built
+  /// dictionary stay valid until the next GetOrAdd/Encode call; views into
+  /// a wired one live as long as the backing image.
   [[nodiscard]] std::string_view Text(TokenId id) const {
     if (id < base_count_) {
       const size_t begin = static_cast<size_t>(base_begin_[id]);
       const size_t end = static_cast<size_t>(base_begin_[id + 1]);
       return std::string_view(base_text_.data() + begin, end - begin);
     }
-    return texts_[id - base_count_];
+    return texts_[id];
   }
 
   [[nodiscard]] size_t size() const { return base_count_ + texts_.size(); }
-
-  /// Tokens in the sealed base tier (0 for dictionaries built online).
-  [[nodiscard]] size_t base_size() const { return base_count_; }
 
   /// Encodes a pre-tokenized string list, interning unseen tokens.
   TokenSeq Encode(const std::vector<std::string>& tokens);
 
   /// Appends the four dictionary sections (img::kDict*) covering every
-  /// token — base and overflow — in id order. Requires a frozen
-  /// dictionary; the persisted hash table is rebuilt over the full id
-  /// range so the wired copy resolves every token.
+  /// token in id order. Requires a frozen dictionary; the persisted hash
+  /// table is rebuilt over the full id range so the wired copy resolves
+  /// every token.
   [[nodiscard]] Status AppendSections(ImageBuilder& builder) const;
 
-  /// Wires a dictionary whose base tier aliases `view`'s backing memory
-  /// (zero-copy; the image must outlive the dictionary). The result is
-  /// frozen with an empty overflow tier — document tokens may still be
-  /// interned into it afterwards.
+  /// Wires a frozen dictionary whose views alias `view`'s backing memory
+  /// (zero-copy; the image must outlive the dictionary).
   static Result<std::unique_ptr<TokenDictionary>> WireFromImage(
       const ImageView& view);
 
@@ -110,16 +111,14 @@ class TokenDictionary {
   /// Empty-slot marker in the persisted hash table; bounds the id space.
   static constexpr uint32_t kEmptySlot = 0xFFFFFFFFu;
 
-  [[nodiscard]] std::optional<TokenId> BaseLookup(std::string_view text) const;
-
-  // Base tier: views into an engine image (empty for online-built dicts).
+  // Wired storage: views into an engine image (empty for built dicts).
   Span<char> base_text_;
   Span<uint64_t> base_begin_;  // base_count_ + 1 offsets into base_text_
   Span<uint64_t> base_freq_;   // base_count_ frequencies
   Span<uint32_t> base_slots_;  // power-of-two open-addressing table
   size_t base_count_ = 0;
 
-  // Overflow tier: tokens interned after the base was sealed.
+  // Built storage (empty for wired dicts).
   std::unordered_map<std::string, TokenId> ids_;
   std::vector<std::string> texts_;
   std::vector<uint64_t> freq_;

@@ -200,13 +200,13 @@ TEST(CandidateGeneratorTest, EmptyDocumentYieldsNothing) {
 TEST(CandidateGeneratorTest, DocumentOfOnlyUnknownTokensYieldsNothing) {
   std::mt19937_64 rng(31);
   auto world = MakeRandomWorld(rng);
-  // Tokens far outside the interned vocabulary.
-  TokenDictionary& dict = world.dd->mutable_token_dict();
-  TokenSeq oov;
-  for (int i = 0; i < 30; ++i) {
-    oov.push_back(dict.GetOrAdd("zzz" + std::to_string(i)));
-  }
-  const Document doc = Document::FromTokens(oov);
+  // Tokens far outside the interned vocabulary: document-local ids at or
+  // above the dictionary size.
+  std::string text;
+  for (int i = 0; i < 30; ++i) text += " zzz" + std::to_string(i);
+  const Document doc =
+      Document::FromText(text, Tokenizer(), world.dd->token_dict());
+  ASSERT_EQ(doc.num_unknown(), 30u);
   auto index = ClusteredIndex::Build(*world.dd);
   for (FilterStrategy s : kAllStrategies) {
     const auto got = GenerateCandidates(s, doc, *world.dd, *index, 0.8);

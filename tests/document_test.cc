@@ -40,14 +40,42 @@ TEST(DocumentTest, DefaultIsEmpty) {
   EXPECT_EQ(doc.size(), 0u);
 }
 
-TEST(DocumentTest, InternsIntoSharedDictionary) {
+TEST(DocumentTest, UnknownTokensGetDocumentLocalIds) {
   Tokenizer tokenizer;
   TokenDictionary dict;
   const TokenId known = dict.GetOrAdd("york");
-  const Document doc = Document::FromText("new york", tokenizer, dict);
-  ASSERT_EQ(doc.size(), 2u);
+  dict.Freeze();
+  const Document doc =
+      Document::FromText("new york boston new", tokenizer, dict);
+  ASSERT_EQ(doc.size(), 4u);
+  // Known tokens keep their id; distinct unknown ones number from
+  // dict.size() in order of first appearance, repeats sharing one id.
   EXPECT_EQ(doc.tokens()[1], known);
-  EXPECT_TRUE(dict.Lookup("new").has_value());
+  EXPECT_EQ(doc.tokens()[0], dict.size());
+  EXPECT_EQ(doc.tokens()[2], dict.size() + 1);
+  EXPECT_EQ(doc.tokens()[3], doc.tokens()[0]);
+  EXPECT_EQ(doc.num_unknown(), 2u);
+  EXPECT_EQ(dict.size(), 1u);  // the dictionary did not grow
+  EXPECT_FALSE(dict.Lookup("new").has_value());
+  EXPECT_EQ(doc.TokenText(doc.tokens()[0], dict), "new");
+  EXPECT_EQ(doc.TokenText(known, dict), "york");
+  EXPECT_EQ(doc.TokenText(doc.tokens()[2], dict), "boston");
+  EXPECT_EQ(dict.frequency(doc.tokens()[2]), 0u);
+}
+
+TEST(DocumentTest, SliceKeepsUnknownTokenTexts) {
+  Tokenizer tokenizer;
+  TokenDictionary dict;
+  dict.GetOrAdd("york");
+  dict.Freeze();
+  const Document doc = Document::FromText("new york boston", tokenizer, dict);
+  const Document slice = doc.Slice(1, 2);
+  ASSERT_EQ(slice.size(), 2u);
+  EXPECT_EQ(slice.tokens()[1], doc.tokens()[2]);
+  EXPECT_EQ(slice.TokenText(slice.tokens()[0], dict), "york");
+  EXPECT_EQ(slice.TokenText(slice.tokens()[1], dict), "boston");
+  // A document built from bare ids has no texts for unknown tokens.
+  EXPECT_EQ(Document::FromTokens({5}).TokenText(5, dict), "");
 }
 
 TEST(HashTest, IntVectorHashIsDeterministicAndOrderSensitive) {

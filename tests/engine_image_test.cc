@@ -177,9 +177,9 @@ TEST(MappedFileTest, MapsBytesVerbatim) {
   std::filesystem::remove(path, ec);
 }
 
-/// The two-tier dictionary: base tier wired from an image, overflow tier
-/// accepting new document tokens afterwards.
-TEST(TokenDictionaryImageTest, BaseAndOverflowTiers) {
+/// A dictionary wired from an image: same ids, texts and frequencies as
+/// the built one, frozen, and read-only for good.
+TEST(TokenDictionaryImageTest, WiredDictionaryIsReadOnly) {
   auto dict = std::make_unique<TokenDictionary>();
   const TokenId alpha = dict->GetOrAdd("alpha");
   const TokenId beta = dict->GetOrAdd("beta");
@@ -196,10 +196,8 @@ TEST(TokenDictionaryImageTest, BaseAndOverflowTiers) {
   auto wired = TokenDictionary::WireFromImage(*view);
   ASSERT_TRUE(wired.ok()) << wired.status();
 
-  // Base tier: same ids, texts, frequencies; already frozen.
   EXPECT_TRUE((*wired)->frozen());
   EXPECT_EQ((*wired)->size(), 2u);
-  EXPECT_EQ((*wired)->base_size(), 2u);
   EXPECT_EQ((*wired)->Lookup("alpha"), alpha);
   EXPECT_EQ((*wired)->Lookup("beta"), beta);
   EXPECT_EQ((*wired)->Text(alpha), "alpha");
@@ -207,14 +205,12 @@ TEST(TokenDictionaryImageTest, BaseAndOverflowTiers) {
   EXPECT_EQ((*wired)->Rank(alpha), dict->Rank(alpha));
   EXPECT_FALSE((*wired)->Lookup("gamma").has_value());
 
-  // Overflow tier: unseen tokens intern past the base with frequency 0.
-  const TokenId gamma = (*wired)->GetOrAdd("gamma");
-  EXPECT_EQ(gamma, 2u);
-  EXPECT_EQ((*wired)->Text(gamma), "gamma");
-  EXPECT_EQ((*wired)->frequency(gamma), 0u);
-  EXPECT_EQ((*wired)->GetOrAdd("gamma"), gamma);
-  EXPECT_EQ((*wired)->GetOrAdd("alpha"), alpha);  // base still resolves
-  EXPECT_EQ((*wired)->size(), 3u);
+  // Ids past the end (a document's unknown tokens) read as frequency 0;
+  // interning is refused.
+  EXPECT_EQ((*wired)->frequency(2), 0u);
+  EXPECT_LT((*wired)->Rank(2), (*wired)->Rank(beta));
+  EXPECT_DEATH((*wired)->GetOrAdd("gamma"),
+               "GetOrAdd on a frozen TokenDictionary");
 }
 
 TEST(TokenDictionaryImageTest, SurvivesManyTokens) {

@@ -58,9 +58,14 @@ std::set<MatchKey> Oracle(const std::vector<TokenSeq>& entity_sets,
 
 TEST(FaerieTest, RejectsBadInputs) {
   auto dict = std::make_shared<TokenDictionary>();
+  const TokenId a = dict->GetOrAdd("a");
+  EXPECT_EQ(Faerie::Build({{a}}, dict).status().code(),
+            StatusCode::kInvalidArgument);  // not frozen yet
+  dict->Freeze();
   EXPECT_FALSE(Faerie::Build({}, dict).ok());
   EXPECT_FALSE(Faerie::Build({{1}}, nullptr).ok());
   EXPECT_FALSE(Faerie::Build({{}}, dict).ok());
+  EXPECT_TRUE(Faerie::Build({{a}}, dict).ok());
 }
 
 TEST(FaerieTest, FindsExactAndApproximateWindows) {
@@ -70,6 +75,7 @@ TEST(FaerieTest, FindsExactAndApproximateWindows) {
   const TokenId c = dict->GetOrAdd("usa");
   const TokenId x = dict->GetOrAdd("noise");
   for (TokenId t : {a, b, c}) ASSERT_TRUE(dict->AddFrequency(t).ok());
+  dict->Freeze();
   auto f = Faerie::Build({{a, b, c}}, dict);
   ASSERT_TRUE(f.ok());
   const Document doc = Document::FromTokens({x, a, b, c, x, a, b, x});
@@ -99,6 +105,7 @@ TEST(FaeriePropertyTest, MatchesOracleOnRandomData) {
       for (size_t j = 0; j < len; ++j) e.push_back(ids[rng() % vocab]);
       entities.push_back(std::move(e));
     }
+    dict->Freeze();
     auto f = Faerie::Build(entities, dict);
     ASSERT_TRUE(f.ok());
 
@@ -131,6 +138,7 @@ TEST(FaerieTest, StatsAreReported) {
   auto dict = std::make_shared<TokenDictionary>();
   const TokenId a = dict->GetOrAdd("a");
   const TokenId b = dict->GetOrAdd("b");
+  dict->Freeze();
   auto f = Faerie::Build({{a, b}}, dict);
   ASSERT_TRUE(f.ok());
   const Document doc = Document::FromTokens({a, b, a, b});
@@ -144,6 +152,7 @@ TEST(FaerieTest, StatsAreReported) {
 TEST(FaerieTest, MemoryBytesPositive) {
   auto dict = std::make_shared<TokenDictionary>();
   const TokenId a = dict->GetOrAdd("a");
+  dict->Freeze();
   auto f = Faerie::Build({{a}}, dict);
   ASSERT_TRUE(f.ok());
   EXPECT_GT((*f)->MemoryBytes(), 0u);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <random>
 #include <unordered_set>
 #include <vector>
 
@@ -115,6 +116,29 @@ TEST(FlatMapTest, AdversarialKeysSpreadViaMixer) {
   for (uint64_t k : keys) *m.TryEmplace(k).first = 1;
   EXPECT_EQ(m.size(), keys.size());
   for (uint64_t k : keys) EXPECT_TRUE(m.Contains(k));
+}
+
+TEST(FlatMapTest, RepeatAfterGrowthFindsOwnStaleValues) {
+  // A pass that grew the table must leave it laid out as the next pass
+  // over the same keys (same order, no growth) lays it out, so every key
+  // is handed back its own previous value — a vector keeps its capacity.
+  for (const size_t n : {100u, 2000u}) {
+    for (uint32_t seed = 0; seed < 4; ++seed) {
+      FlatMap<uint32_t, uint32_t> m;
+      std::mt19937 rng(seed);
+      std::vector<uint32_t> keys(n);
+      for (uint32_t& k : keys) k = static_cast<uint32_t>(rng());
+      for (const uint32_t k : keys) *m.TryEmplace(k).first = k;
+      const size_t capacity = m.capacity();
+      m.Clear();
+      for (const uint32_t k : keys) {
+        const auto [value, inserted] = m.TryEmplace(k);
+        if (!inserted) continue;  // a repeated random key
+        EXPECT_EQ(*value, k) << "n=" << n << " seed=" << seed;
+      }
+      EXPECT_EQ(m.capacity(), capacity);
+    }
+  }
 }
 
 TEST(FlatSetTest, InsertSemantics) {

@@ -71,5 +71,12 @@ TEST_F(FuzzyExtractorTest, NoSynonymAwareness) {
   EXPECT_TRUE(fx.Extract(doc, 0.7).empty());
 }
 
+TEST_F(FuzzyExtractorTest, DocumentWordMissingFromDictionaryDies) {
+  FuzzyExtractor fx({{univ_, auckland_}}, *dict_);
+  const Document doc =
+      Document::FromText("university of auckland", Tokenizer(), *dict_);
+  EXPECT_DEATH(fx.Extract(doc, 0.7), "document word missing");
+}
+
 }  // namespace
 }  // namespace aeetes

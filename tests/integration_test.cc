@@ -122,6 +122,7 @@ TEST_P(IntegrationTest, SynonymMentionsAreInvisibleToPlainJaccard) {
   for (const std::string& e : ds_.entity_texts) {
     entities.push_back(dict->Encode(tokenizer.TokenizeToStrings(e)));
   }
+  dict->Freeze();
   auto faerie = Faerie::Build(std::move(entities), dict);
   ASSERT_TRUE(faerie.ok());
 

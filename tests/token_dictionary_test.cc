@@ -51,25 +51,35 @@ TEST(TokenDictionaryTest, AddFrequencyOutOfRangeFails) {
   EXPECT_EQ(d.AddFrequency(99).code(), StatusCode::kOutOfRange);
 }
 
-TEST(TokenDictionaryTest, InterningStillAllowedAfterFreeze) {
+TEST(TokenDictionaryTest, InterningAfterFreezeDies) {
   TokenDictionary d;
   d.GetOrAdd("alpha");
   d.Freeze();
-  const TokenId b = d.GetOrAdd("oov");
-  EXPECT_EQ(d.frequency(b), 0u);
-  EXPECT_FALSE(d.IsValid(b));
+  EXPECT_DEATH(d.GetOrAdd("oov"), "GetOrAdd on a frozen TokenDictionary");
+}
+
+TEST(TokenDictionaryTest, IdsPastSizeAreFrequencyZero) {
+  TokenDictionary d;
+  const TokenId a = d.GetOrAdd("alpha");
+  ASSERT_TRUE(d.AddFrequency(a).ok());
+  d.Freeze();
+  const TokenId unknown = static_cast<TokenId>(d.size());
+  EXPECT_EQ(d.frequency(unknown), 0u);
+  EXPECT_FALSE(d.IsValid(unknown));
+  EXPECT_LT(d.Rank(unknown), d.Rank(a));
+  EXPECT_LT(d.Rank(unknown), d.Rank(unknown + 1));
 }
 
 TEST(TokenDictionaryTest, RankOrdersByFrequencyThenId) {
   TokenDictionary d;
   const TokenId rare = d.GetOrAdd("rare");
   const TokenId common = d.GetOrAdd("common");
-  const TokenId oov = d.GetOrAdd("oov");
+  const TokenId zero = d.GetOrAdd("zero");
   ASSERT_TRUE(d.AddFrequency(rare, 1).ok());
   ASSERT_TRUE(d.AddFrequency(common, 100).ok());
   d.Freeze();
   // Invalid (frequency 0) tokens rank lowest (rarest end of the order).
-  EXPECT_LT(d.Rank(oov), d.Rank(rare));
+  EXPECT_LT(d.Rank(zero), d.Rank(rare));
   EXPECT_LT(d.Rank(rare), d.Rank(common));
 }
 

@@ -79,8 +79,9 @@ TEST_F(WindowTest, DuplicateCountsSurviveMigration) {
 }
 
 TEST_F(WindowTest, InvalidTokensSortFirst) {
-  // Token interned after freeze has frequency 0 -> lowest rank.
-  const TokenId oov = dict_.GetOrAdd("oov");
+  // A document's unknown token (id past the dictionary) has frequency 0
+  // -> lowest rank.
+  const TokenId oov = static_cast<TokenId>(dict_.size());
   const Document doc = Doc({5, oov});
   SlidingWindow w(doc, dict_);
   w.Reset(0, 2);

@@ -26,6 +26,10 @@ mentioning `throw` does not trip the gate:
                    so latency lands in the metrics histograms (and the
                    telemetry windows built on them) instead of ad-hoc
                    clock math scattered through the library.
+  const_cast<TokenDictionary   a frozen dictionary is shared read-only by
+                   every thread of an engine; writing through a cast-away
+                   const would reintroduce the races read-only document
+                   encoding removed.
 
 Every exemption is an explicit (rule, path) pair in ALLOWLIST with a
 reason — adding one is a reviewed decision, not a regex accident.
@@ -65,6 +69,8 @@ BANNED_SIMPLE = [
     ("rand", re.compile(r"\brand\s*\(\s*\)|\bsrand\s*\(")),
     ("tsa-suppression", re.compile(r"\bAEETES_NO_THREAD_SAFETY_ANALYSIS\b")),
     ("steady-clock", re.compile(r"\bsteady_clock\s*::\s*now\s*\(")),
+    ("const-cast-dict",
+     re.compile(r"\bconst_cast\s*<\s*(?:aeetes\s*::\s*)?TokenDictionary\b")),
 ]
 
 NEW_RE = re.compile(r"\bnew\b(?!\s*\()")  # `new (` = placement/op-new decl
