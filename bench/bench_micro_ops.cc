@@ -9,8 +9,9 @@
 // `--assert-steady-state-allocs` — fails unless the second Extract call on
 // a warm ExtractScratch performs zero heap allocations, for every filter
 // strategy, including when the second document brings unknown words the
-// first did not (DESIGN.md §10; wired into tools/check.sh as the `alloc`
-// step).
+// first did not, and unless a built dictionary's Lookup of a long token
+// is allocation-free (DESIGN.md §10; wired into tools/check.sh as the
+// `alloc` step).
 
 #include <benchmark/benchmark.h>
 
@@ -19,6 +20,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <new>
+#include <optional>
 #include <random>
 #include <string>
 #include <string_view>
@@ -31,6 +33,7 @@
 #include "src/io/snapshot.h"
 #include "src/sim/similarity.h"
 #include "src/synonym/expander.h"
+#include "src/text/token_dictionary.h"
 #include "src/text/token_set.h"
 #include "tests/test_util.h"
 
@@ -254,7 +257,9 @@ std::string TextWithUnknownWords(const TokenSeq& tokens,
 /// in two cases: the warm-up document again, and a second encoded
 /// document of the same length whose unknown words differ from the
 /// warm-up's (unknown words must not grow anything sized by the
-/// dictionary). Exit 0 iff every case is allocation-free.
+/// dictionary); then a built dictionary's Lookup of a token longer than
+/// the small-string buffer, found and not found. Exit 0 iff every case is
+/// allocation-free.
 int RunSteadyStateAssert() {
   std::mt19937_64 rng(7);
   auto world = testutil::MakeRandomWorld(rng, /*vocab=*/200,
@@ -297,6 +302,27 @@ int RunSteadyStateAssert() {
     measure("steady-state", strategy, doc, doc);
     measure("new-unknowns", strategy, first, second);
   }
+
+  // Lookup on a built (not wired) dictionary — the one Document::FromText
+  // reads for engines built in process — must not allocate either, even
+  // for tokens too long for the small-string buffer.
+  TokenDictionary built_dict;
+  const std::string long_token = "immunohistochemistry";  // 20 bytes
+  const TokenId long_id = built_dict.GetOrAdd(long_token);
+  built_dict.Freeze();
+  const uint64_t before_lookup = AllocationCount();
+  const std::optional<TokenId> known = built_dict.Lookup(long_token);
+  const std::optional<TokenId> unknown =
+      built_dict.Lookup("electroencephalography");
+  const uint64_t lookup_allocs = AllocationCount() - before_lookup;
+  AEETES_CHECK(known.has_value() && *known == long_id);
+  AEETES_CHECK(!unknown.has_value());
+  std::printf("%-13s %-7s token_bytes=%zu heap allocations=%llu%s\n",
+              "dict-lookup", "built", long_token.size(),
+              static_cast<unsigned long long>(lookup_allocs),
+              lookup_allocs == 0 ? "" : "  <-- FAIL");
+  if (lookup_allocs != 0) ++failures;
+
   if (failures > 0) {
     std::printf("FAIL: %d cases allocate in steady state\n", failures);
     return 1;

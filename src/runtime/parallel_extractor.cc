@@ -18,6 +18,13 @@ bool MatchBefore(const Match& a, const Match& b) {
   return a.entity < b.entity;
 }
 
+Status CheckThreshold(double tau) {
+  if (!(tau > 0.0) || tau > 1.0) {
+    return Status::InvalidArgument("threshold must be in (0, 1]");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 size_t ParallelExtractor::MaxWindowTokens(double tau) const {
@@ -72,9 +79,7 @@ Result<ParallelExtraction> ParallelExtractor::ExtractAll(
 
 Result<ParallelExtraction> ParallelExtractor::ExtractAllWithStrategy(
     Span<Document> documents, double tau, FilterStrategy strategy) {
-  if (!(tau > 0.0) || tau > 1.0) {
-    return Status::InvalidArgument("threshold must be in (0, 1]");
-  }
+  AEETES_RETURN_IF_ERROR(CheckThreshold(tau));
   ParallelExtraction out;
   out.per_document.resize(documents.size());
   if (documents.empty()) return out;
@@ -215,6 +220,30 @@ Result<ParallelExtraction> ParallelExtractor::ExtractAllWithStrategy(
   // Fresh `runtime.*` gauges after every run; gauges (not counters) so the
   // counters-only determinism comparison across thread counts stays exact.
   PublishRuntimeMetrics();
+  return out;
+}
+
+Result<TextExtraction> ParallelExtractor::ExtractTextsWithStrategy(
+    Span<std::string> texts, double tau, FilterStrategy strategy) {
+  AEETES_RETURN_IF_ERROR(CheckThreshold(tau));
+  TextExtraction out;
+  out.documents.resize(texts.size());
+  // Encoding pass: one task per text, each writing only its own Document.
+  // The chunk plan needs every document's length, so extraction starts
+  // once the pass is done.
+  for (size_t i = 0; i < texts.size(); ++i) {
+    Status submitted = pool_->Submit([this, texts, &out, i] {
+      out.documents[i] = aeetes_.EncodeDocument(texts[i]);
+    });
+    if (!submitted.ok()) {
+      pool_->WaitIdle();  // tasks already in flight borrow our locals
+      return submitted;
+    }
+  }
+  pool_->WaitIdle();
+  AEETES_ASSIGN_OR_RETURN(
+      out.extraction,
+      ExtractAllWithStrategy(out.documents, tau, strategy));
   return out;
 }
 

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/common/metrics.h"
@@ -63,10 +64,20 @@ struct ParallelExtraction {
   std::vector<TraceRecorder> worker_traces;
 };
 
-/// Fans document extraction out over a work-stealing ThreadPool against
-/// one shared, immutable `Aeetes`. The online path is const and
-/// race-free (the thread-safety contract in aeetes.h), so the only serial
-/// phase is encoding; pass pre-encoded Documents here.
+/// Result of a run over raw texts: the Documents the pool encoded, in text
+/// order, and their extraction. The Documents keep their original text, so
+/// callers can slice matched substrings back out (Document::SubstringText).
+struct TextExtraction {
+  std::vector<Document> documents;  // documents[i] encodes texts[i]
+  ParallelExtraction extraction;
+};
+
+/// Fans document encoding and extraction out over a work-stealing
+/// ThreadPool against one shared, immutable `Aeetes`. The whole online
+/// path — EncodeDocument included — is const and race-free (the
+/// thread-safety contract in aeetes.h), so nothing needs to run serially:
+/// pass raw texts to ExtractTexts* and the workers encode them too, or
+/// pass Documents encoded elsewhere to ExtractAll*.
 ///
 /// The extractor owns its pool and is reusable: ExtractAll may be called
 /// any number of times (even concurrently — per-call state is local and
@@ -92,6 +103,14 @@ class ParallelExtractor {
   Result<ParallelExtraction> ExtractAllWithStrategy(Span<Document> documents,
                                                     double tau,
                                                     FilterStrategy strategy);
+
+  /// Encodes every text with Aeetes::EncodeDocument on the pool workers,
+  /// then extracts from the encoded Documents exactly as
+  /// ExtractAllWithStrategy does (same chunk plan, merge and stats), so the
+  /// result is byte-identical to encoding first and calling that.
+  Result<TextExtraction> ExtractTextsWithStrategy(Span<std::string> texts,
+                                                  double tau,
+                                                  FilterStrategy strategy);
 
   [[nodiscard]] size_t num_threads() const { return pool_->num_threads(); }
   [[nodiscard]] const ParallelExtractorOptions& options() const {

@@ -60,13 +60,16 @@ Status Client::Send(std::string_view payload) {
   EncodeFrame(payload, &frame);
   size_t off = 0;
   while (off < frame.size()) {
-    const ssize_t n = ::write(fd_, frame.data() + off, frame.size() - off);
+    // MSG_NOSIGNAL: a server that drops the connection mid-frame (e.g.
+    // an oversized one) must surface as EPIPE, not kill us with SIGPIPE.
+    const ssize_t n = ::send(fd_, frame.data() + off, frame.size() - off,
+                             MSG_NOSIGNAL);
     if (n > 0) {
       off += static_cast<size_t>(n);
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    return ErrnoStatus("write");
+    return ErrnoStatus("send");
   }
   return Status::OK();
 }

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/common/span.h"
+#include "src/common/stopwatch.h"
 
 namespace aeetes {
 namespace server {
@@ -16,13 +16,20 @@ RequestBatcher::RequestBatcher(MetricsRegistry& registry, Options options)
           "server.batch_size", "Documents per coalesced extract batch")),
       batch_latency_us_(registry.GetOrRegisterHistogram(
           "server.batch_latency_us",
-          "Wall time of one batch (encode + parallel extract)")) {
+          "Wall time of one batch (encode + parallel extract)")),
+      queue_wait_us_(registry.GetOrRegisterHistogram(
+          "server.stage.queue_wait_us",
+          "Per extract request: Submit to the dispatch of its batch")),
+      fanout_us_(registry.GetOrRegisterHistogram(
+          "server.stage.fanout_us",
+          "Per extract request: its batch's encode + extract on the pool")) {
   dispatcher_ = std::thread([this] { DispatchLoop(); });
 }
 
 RequestBatcher::~RequestBatcher() { Drain(); }
 
 Status RequestBatcher::Submit(Job job) {
+  job.submitted_us = clock_.ElapsedMicros();
   {
     MutexLock lock(mu_);
     if (draining_) {
@@ -95,28 +102,32 @@ void RequestBatcher::DispatchLoop() {
 
 void RequestBatcher::RunGroup(std::vector<Job> group) {
   ScopedTimer timer(&batch_latency_us_);
+  const int64_t dispatched_us = clock_.ElapsedMicros();
   const ServingEngine& engine = *group.front().engine;
   const double tau = group.front().tau;
   const FilterStrategy strategy =
       group.front().has_strategy ? group.front().strategy
                                  : engine.aeetes->options().strategy;
 
+  // One text list for the whole group; each job's docs keep their count
+  // (the strings are moved out, not erased).
   size_t total_docs = 0;
   for (const Job& job : group) total_docs += job.docs.size();
   batches_.Increment();
   batch_size_.Record(total_docs);
-
-  std::vector<Document> documents;
-  documents.reserve(total_docs);
-  for (const Job& job : group) {
-    for (const std::string& text : job.docs) {
-      documents.push_back(engine.aeetes->EncodeDocument(text));
-    }
+  std::vector<std::string> texts;
+  texts.reserve(total_docs);
+  for (Job& job : group) {
+    queue_wait_us_.Record(
+        static_cast<uint64_t>(dispatched_us - job.submitted_us));
+    for (std::string& text : job.docs) texts.push_back(std::move(text));
   }
 
-  Result<ParallelExtraction> extraction =
-      engine.extractor->ExtractAllWithStrategy(
-          Span<Document>(documents.data(), documents.size()), tau, strategy);
+  Stopwatch fanout;
+  Result<TextExtraction> extraction =
+      engine.extractor->ExtractTextsWithStrategy(texts, tau, strategy);
+  const auto fanout_us = static_cast<uint64_t>(fanout.ElapsedMicros());
+  for (size_t j = 0; j < group.size(); ++j) fanout_us_.Record(fanout_us);
   if (!extraction.ok()) {
     for (Job& job : group) job.done(extraction.status());
     return;
@@ -124,15 +135,17 @@ void RequestBatcher::RunGroup(std::vector<Job> group) {
 
   // Fan per-document results back out to their submitters, renumbering
   // document indices to be job-relative.
+  std::vector<DocumentExtraction>& per_document =
+      extraction->extraction.per_document;
   size_t cursor = 0;
   for (Job& job : group) {
     Outcome outcome;
     outcome.documents.reserve(job.docs.size());
     outcome.results.reserve(job.docs.size());
     for (size_t d = 0; d < job.docs.size(); ++d) {
-      outcome.documents.push_back(std::move(documents[cursor]));
-      DocumentExtraction result =
-          std::move(extraction->per_document[cursor]);
+      outcome.documents.push_back(
+          std::move(extraction->documents[cursor]));
+      DocumentExtraction result = std::move(per_document[cursor]);
       result.doc = static_cast<uint32_t>(d);
       outcome.results.push_back(std::move(result));
       ++cursor;

@@ -2,6 +2,7 @@
 #define AEETES_SERVER_REQUEST_BATCHER_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -10,6 +11,7 @@
 #include "src/common/metrics.h"
 #include "src/common/mutex.h"
 #include "src/common/status.h"
+#include "src/common/stopwatch.h"
 #include "src/common/thread_annotations.h"
 #include "src/core/document.h"
 #include "src/server/collection_manager.h"
@@ -20,12 +22,12 @@ namespace server {
 /// Coalesces queued extract requests into batches and runs them on the
 /// target engine's ParallelExtractor (ISSUE 8 tentpole #2). One dispatcher
 /// thread drains the queue: everything queued at wake-up that shares
-/// (engine, tau, strategy) becomes a single ExtractAll call, so many small
-/// requests ride one fan-out over the PR-3 pool instead of paying per-
-/// request submission overhead. Per-document results return to each
-/// submitter in its original document order. Documents are encoded on
-/// the dispatcher thread, then extracted on the pool; both are const on
-/// the engine.
+/// (engine, tau, strategy) becomes a single ExtractTextsWithStrategy call,
+/// so many small requests ride one fan-out over the engine's pool instead of
+/// paying per-request submission overhead. Per-document results return to
+/// each submitter in its original document order. The dispatcher only
+/// groups and fans out: the pool workers encode the texts and extract
+/// them, both const on the engine.
 ///
 /// Each job pins its engine via shared_ptr: a swap or delete between
 /// submit and dispatch retires the old engine only after the batch that
@@ -54,10 +56,13 @@ class RequestBatcher {
     FilterStrategy strategy = FilterStrategy::kLazy;
     bool has_strategy = false;  // false -> engine's configured default
     DoneFn done;
+    /// Set by Submit; the start of the job's `server.stage.queue_wait_us`.
+    int64_t submitted_us = 0;
   };
 
-  /// Registers `server.batch*` metrics into `registry` and starts the
-  /// dispatcher thread.
+  /// Registers `server.batch*` and the `server.stage.queue_wait_us` /
+  /// `server.stage.fanout_us` histograms (one sample per job) into
+  /// `registry`, and starts the dispatcher thread.
   RequestBatcher(MetricsRegistry& registry, Options options);
   ~RequestBatcher();
 
@@ -78,13 +83,17 @@ class RequestBatcher {
  private:
   void DispatchLoop() AEETES_EXCLUDES(mu_);
   /// Runs one group of jobs that share (engine, tau, strategy) as a
-  /// single encode + ExtractAll pass, then fans results back out.
+  /// single ExtractTextsWithStrategy pass, then fans results back out.
   void RunGroup(std::vector<Job> group);
 
   Options options_;
   Counter& batches_;
   Histogram& batch_size_;
   Histogram& batch_latency_us_;
+  Histogram& queue_wait_us_;
+  Histogram& fanout_us_;
+  /// Time base of Job::submitted_us.
+  const Stopwatch clock_;
 
   mutable Mutex mu_;
   CondVar cv_;

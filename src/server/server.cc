@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -89,6 +90,9 @@ Server::Server(Options options)
       extract_latency_us_(metrics_.RegisterHistogram(
           "server.request_latency_us",
           "Extract latency, frame receipt to response ready")),
+      serialize_us_(metrics_.RegisterHistogram(
+          "server.stage.serialize_us",
+          "Per extract request: building the response payload")),
       collections_(std::make_unique<CollectionManager>(
           options_.collections, &active_collections_, &delta_entities_,
           &compactions_)),
@@ -274,6 +278,11 @@ void Server::AcceptReady() {
       ::close(fd);
       continue;
     }
+    // Responses are small frames written as soon as they are ready; with
+    // Nagle's algorithm on, each one would wait for the client's delayed
+    // ACK of the previous one (DESIGN.md §14).
+    const int one = 1;
+    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     connections_accepted_.Increment();
     const uint64_t id = next_conn_id_++;
     Connection conn(options_.max_frame_bytes);
@@ -378,9 +387,11 @@ void Server::HandleExtract(Connection& conn, uint64_t seq, Request req) {
   const uint64_t conn_id = conn.id;
   job.done = [this, conn_id, seq, engine,
               start_us](Result<RequestBatcher::Outcome> outcome) {
+    Stopwatch serialize;
     std::string payload = outcome.ok()
                               ? BuildExtractResponse(*engine, *outcome)
                               : ErrorResponse(outcome.status());
+    serialize_us_.Record(static_cast<uint64_t>(serialize.ElapsedMicros()));
     extract_latency_us_.Record(
         static_cast<uint64_t>(clock_.ElapsedMicros() - start_us));
     Completion completion;

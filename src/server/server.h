@@ -150,6 +150,9 @@ class Server {
   Gauge& delta_entities_;
   Counter& compactions_;
   Histogram& extract_latency_us_;
+  /// The last of the three stages that make up extract_latency_us_; the
+  /// batcher records the other two (server.stage.queue_wait_us, fanout_us).
+  Histogram& serialize_us_;
 
   std::unique_ptr<CollectionManager> collections_;
   RateLimiter rate_limiter_;

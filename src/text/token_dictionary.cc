@@ -19,7 +19,7 @@ TokenId TokenDictionary::GetOrAdd(std::string_view text) {
 
 std::optional<TokenId> TokenDictionary::Lookup(std::string_view text) const {
   if (base_count_ == 0) {
-    const auto it = ids_.find(std::string(text));
+    const auto it = ids_.find(text);
     if (it == ids_.end()) return std::nullopt;
     return it->second;
   }

@@ -2,6 +2,7 @@
 #define AEETES_TEXT_TOKEN_DICTIONARY_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -118,8 +119,17 @@ class TokenDictionary {
   Span<uint32_t> base_slots_;  // power-of-two open-addressing table
   size_t base_count_ = 0;
 
+  /// Transparent hash: with std::equal_to<>, ids_.find(string_view)
+  /// probes without building a std::string per lookup.
+  struct TextHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view text) const {
+      return std::hash<std::string_view>{}(text);
+    }
+  };
+
   // Built storage (empty for wired dicts).
-  std::unordered_map<std::string, TokenId> ids_;
+  std::unordered_map<std::string, TokenId, TextHash, std::equal_to<>> ids_;
   std::vector<std::string> texts_;
   std::vector<uint64_t> freq_;
   bool frozen_ = false;

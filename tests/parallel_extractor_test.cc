@@ -199,6 +199,132 @@ TEST_F(ParallelExtractorTest, EmptyCorpusAndBadThreshold) {
   EXPECT_FALSE((*extractor)->ExtractAll(encoded_, 1.5).ok());
 }
 
+/// A Document field by field, token texts included.
+void ExpectSameDocument(const Document& got, const Document& want,
+                        const TokenDictionary& dict,
+                        const std::string& context) {
+  EXPECT_EQ(got.text(), want.text()) << context;
+  ASSERT_EQ(got.tokens(), want.tokens()) << context;
+  EXPECT_EQ(got.num_unknown(), want.num_unknown()) << context;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got.TokenSpan(i), want.TokenSpan(i)) << context << " i=" << i;
+    EXPECT_EQ(got.TokenText(got.tokens()[i], dict),
+              want.TokenText(want.tokens()[i], dict))
+        << context << " i=" << i;
+  }
+}
+
+/// ExtractTextsWithStrategy must equal EncodeDocument on every text
+/// followed by ExtractAllWithStrategy on the result: Documents, per-
+/// document matches and stats, and the aggregates.
+void ExpectTextEntryMatchesDocumentEntry(const Aeetes& aeetes,
+                                         const std::vector<std::string>& texts,
+                                         double tau,
+                                         const ParallelExtractorOptions& opts,
+                                         const std::string& context) {
+  std::vector<Document> encoded;
+  for (const std::string& text : texts) {
+    encoded.push_back(aeetes.EncodeDocument(text));
+  }
+  for (FilterStrategy strategy :
+       {FilterStrategy::kSimple, FilterStrategy::kSkip,
+        FilterStrategy::kDynamic, FilterStrategy::kLazy}) {
+    const std::string ctx =
+        context + " " + std::string(FilterStrategyName(strategy));
+    auto extractor = ParallelExtractor::Create(aeetes, opts);
+    ASSERT_TRUE(extractor.ok()) << ctx;
+    auto want = (*extractor)->ExtractAllWithStrategy(encoded, tau, strategy);
+    ASSERT_TRUE(want.ok()) << ctx;
+    EXPECT_GT(want->total_matches, 0u)
+        << ctx << ": the texts must exercise verification";
+    auto got = (*extractor)->ExtractTextsWithStrategy(texts, tau, strategy);
+    ASSERT_TRUE(got.ok()) << ctx;
+
+    ASSERT_EQ(got->documents.size(), texts.size()) << ctx;
+    const ParallelExtraction& extraction = got->extraction;
+    ASSERT_EQ(extraction.per_document.size(), texts.size()) << ctx;
+    for (size_t d = 0; d < texts.size(); ++d) {
+      const std::string doc_ctx = ctx + " doc=" + std::to_string(d);
+      ExpectSameDocument(got->documents[d], encoded[d],
+                         aeetes.derived_dictionary().token_dict(), doc_ctx);
+      const DocumentExtraction& g = extraction.per_document[d];
+      const DocumentExtraction& w = want->per_document[d];
+      EXPECT_EQ(g.doc, w.doc) << doc_ctx;
+      EXPECT_EQ(g.chunks, w.chunks) << doc_ctx;
+      ExpectSameMatches(g.matches, w.matches, doc_ctx);
+      EXPECT_TRUE(SameFilterStats(g.filter_stats, w.filter_stats)) << doc_ctx;
+      EXPECT_EQ(g.verify_stats.verified, w.verify_stats.verified) << doc_ctx;
+      EXPECT_EQ(g.verify_stats.matched, w.verify_stats.matched) << doc_ctx;
+    }
+    EXPECT_TRUE(SameFilterStats(extraction.filter_stats, want->filter_stats))
+        << ctx;
+    EXPECT_EQ(extraction.verify_stats.verified, want->verify_stats.verified)
+        << ctx;
+    EXPECT_EQ(extraction.verify_stats.matched, want->verify_stats.matched)
+        << ctx;
+    EXPECT_EQ(extraction.total_matches, want->total_matches) << ctx;
+  }
+}
+
+TEST_F(ParallelExtractorTest, TextEntryEqualsEncodeThenExtract) {
+  std::vector<std::string> texts = ds_.documents;
+  // Documents made only of words the dictionary has never seen, one with
+  // repeats (a repeated unknown word keeps its per-document id), and an
+  // empty one.
+  texts.push_back("qzxv wvkkq plorbt qzxv ytrewq plorbt qzxv");
+  texts.push_back("zzyzx");
+  texts.push_back("");
+  // Unknown words mixed into a known document.
+  texts.push_back("qzxv " + ds_.documents.front() + " wvkkq");
+  for (size_t threads : {1u, 2u, 4u}) {
+    ParallelExtractorOptions opts;
+    opts.num_threads = threads;
+    ExpectTextEntryMatchesDocumentEntry(
+        *aeetes_, texts, 0.8, opts, "threads=" + std::to_string(threads));
+  }
+}
+
+TEST_F(ParallelExtractorTest, TextEntryChunksOversizedDocuments) {
+  std::string long_text;
+  for (const std::string& text : ds_.documents) {
+    if (!long_text.empty()) long_text += ' ';
+    long_text += text;
+  }
+  const std::vector<std::string> texts = {ds_.documents.front(), long_text,
+                                          "qzxv wvkkq plorbt"};
+  const double tau = 0.8;
+  const DerivedDictionary& dd = aeetes_->derived_dictionary();
+  const size_t max_window =
+      SubstringLengthBounds(aeetes_->options().metric, dd.min_set_size(),
+                            dd.max_set_size(), tau)
+          .hi;
+  ParallelExtractorOptions opts;
+  opts.num_threads = 4;
+  opts.max_document_tokens = max_window + 9;
+  auto extractor = ParallelExtractor::Create(*aeetes_, opts);
+  ASSERT_TRUE(extractor.ok());
+  auto result = (*extractor)->ExtractTextsWithStrategy(
+      texts, tau, FilterStrategy::kLazy);
+  ASSERT_TRUE(result.ok());
+  EXPECT_GT(result->extraction.per_document[1].chunks, 1u);
+  ExpectTextEntryMatchesDocumentEntry(*aeetes_, texts, tau, opts,
+                                      "chunked");
+}
+
+TEST_F(ParallelExtractorTest, TextEntryEmptyAndBadThreshold) {
+  auto extractor = ParallelExtractor::Create(*aeetes_, {});
+  ASSERT_TRUE(extractor.ok());
+  auto empty = (*extractor)->ExtractTextsWithStrategy(
+      {}, 0.8, FilterStrategy::kLazy);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->documents.empty());
+  EXPECT_TRUE(empty->extraction.per_document.empty());
+  EXPECT_FALSE((*extractor)
+                   ->ExtractTextsWithStrategy(ds_.documents, 0.0,
+                                              FilterStrategy::kLazy)
+                   .ok());
+}
+
 class ChunkingTest : public ParallelExtractorTest {
  protected:
   size_t MaxWindow(double tau) const {

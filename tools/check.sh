@@ -528,7 +528,8 @@ EOF
     return
   fi
   # The metrics verb must expose valid Prometheus text including the
-  # server.* families (requests, batch_size, rate_limited, collections).
+  # server.* families (requests, batch_size, rate_limited, collections)
+  # and the three per-stage latency histograms.
   if ! python3 tools/serve_client.py --port-file "$workdir/port" \
         '{"verb":"metrics"}' \
       | python3 -c \
@@ -543,7 +544,10 @@ EOF
   local family
   for family in aeetes_server_requests_total aeetes_server_batch_size \
                 aeetes_server_rate_limited_total \
-                aeetes_server_active_collections; do
+                aeetes_server_active_collections \
+                aeetes_server_stage_queue_wait_us \
+                aeetes_server_stage_fanout_us \
+                aeetes_server_stage_serialize_us; do
     if ! grep -q "^$family" "$workdir/metrics.prom"; then
       kill "$server_pid" 2>/dev/null || true
       rm -rf "$workdir"
