@@ -1,7 +1,6 @@
-// Snapshot-load benchmark (DESIGN.md §11): cold offline Build vs the v1
-// record snapshot (parse + index rebuild) vs the v2 engine image (mmap +
-// wire, zero-copy). Reports wall time and resident-set growth per path,
-// plus the load speedup of v2 over a cold build.
+// Snapshot-load benchmark (DESIGN.md §11): cold offline Build vs the v2
+// engine image (mmap + wire, zero-copy). Reports wall time and
+// resident-set growth per path, plus the load speedup over a cold build.
 //
 // Dataset: data/institutions when present (the adoption-path corpus), else
 // a synthetic PubMed-like profile so the benchmark always runs. Scale the
@@ -84,43 +83,33 @@ std::vector<Corpus> LoadCorpora() {
 }
 
 void RunCorpus(const Corpus& corpus, BenchReporter& reporter) {
+  const std::string path = "/tmp/aeetes_bench_v2.snap";
 
-  const std::string v1_path = "/tmp/aeetes_bench_v1.snap";
-  const std::string v2_path = "/tmp/aeetes_bench_v2.snap";
-
-  // Cold build (the baseline every snapshot path is trying to beat).
+  // Cold build (the baseline the snapshot load is trying to beat).
   std::unique_ptr<Aeetes> built;
   const double build_ms = TimedMillis([&] {
     auto r = Aeetes::BuildFromText(corpus.entities, corpus.rules);
     AEETES_CHECK(r.ok()) << r.status();
     built = std::move(*r);
   });
-  AEETES_CHECK(SaveSnapshotV1(*built, v1_path).ok());
-  AEETES_CHECK(SaveSnapshot(*built, v2_path).ok());
+  AEETES_CHECK(SaveSnapshot(*built, path).ok());
 
-  struct PathResult {
-    const char* name;
-    double load_ms = 0.0;
-    uint64_t rss_delta_kib = 0;
-    uint64_t bytes = 0;
-  };
-  std::vector<PathResult> results;
-  for (const char* path : {v1_path.c_str(), v2_path.c_str()}) {
-    PathResult pr;
-    pr.name = (path == v1_path) ? "v1-rebuild" : "v2-mmap";
+  uint64_t bytes = 0;
+  {
     std::ifstream f(path, std::ios::binary | std::ios::ate);
-    pr.bytes = static_cast<uint64_t>(f.tellg());
-    const uint64_t rss_before = ProcStatusKib("VmRSS:");
-    std::unique_ptr<Aeetes> loaded;
-    pr.load_ms = TimedMillis([&] {
-      auto r = LoadSnapshot(path);
-      AEETES_CHECK(r.ok()) << r.status();
-      loaded = std::move(*r);
-    });
-    const uint64_t rss_after = ProcStatusKib("VmRSS:");
-    pr.rss_delta_kib = rss_after > rss_before ? rss_after - rss_before : 0;
-    results.push_back(pr);
+    bytes = static_cast<uint64_t>(f.tellg());
   }
+  const uint64_t rss_before = ProcStatusKib("VmRSS:");
+  std::unique_ptr<Aeetes> loaded;
+  const double load_ms = TimedMillis([&] {
+    auto r = LoadSnapshot(path);
+    AEETES_CHECK(r.ok()) << r.status();
+    loaded = std::move(*r);
+  });
+  const uint64_t rss_after = ProcStatusKib("VmRSS:");
+  const uint64_t rss_delta_kib =
+      rss_after > rss_before ? rss_after - rss_before : 0;
+  const double speedup = load_ms > 0 ? build_ms / load_ms : 0.0;
 
   std::printf("dataset=%s entities=%zu rules=%zu peak_rss_kib=%llu\n",
               corpus.name.c_str(), corpus.entities.size(),
@@ -134,31 +123,25 @@ void RunCorpus(const Corpus& corpus, BenchReporter& reporter) {
       .Set("path", "cold-build")
       .Set("wall_ms", build_ms)
       .Set("entities", uint64_t{corpus.entities.size()});
-  for (const PathResult& pr : results) {
-    std::printf("%-12s %12.3f %12llu %12llu\n", pr.name, pr.load_ms,
-                static_cast<unsigned long long>(pr.rss_delta_kib),
-                static_cast<unsigned long long>(pr.bytes));
-    reporter.AddRow()
-        .Set("dataset", corpus.name)
-        .Set("path", pr.name)
-        .Set("wall_ms", pr.load_ms)
-        .Set("rss_delta_kib", pr.rss_delta_kib)
-        .Set("snapshot_bytes", pr.bytes)
-        .Set("speedup_vs_build",
-             pr.load_ms > 0 ? build_ms / pr.load_ms : 0.0);
-  }
-  const double v2_ms = results.back().load_ms;
-  std::printf("v2 mmap load speedup over cold build: %.1fx\n\n",
-              v2_ms > 0 ? build_ms / v2_ms : 0.0);
+  std::printf("%-12s %12.3f %12llu %12llu\n", "v2-mmap", load_ms,
+              static_cast<unsigned long long>(rss_delta_kib),
+              static_cast<unsigned long long>(bytes));
+  reporter.AddRow()
+      .Set("dataset", corpus.name)
+      .Set("path", "v2-mmap")
+      .Set("wall_ms", load_ms)
+      .Set("rss_delta_kib", rss_delta_kib)
+      .Set("snapshot_bytes", bytes)
+      .Set("speedup_vs_build", speedup);
+  std::printf("v2 mmap load speedup over cold build: %.1fx\n\n", speedup);
 
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
+  std::remove(path.c_str());
 }
 
 int Run() {
   BenchReporter reporter(
       "snapshot_load",
-      "Engine image load: cold build vs v1 rebuild vs v2 mmap",
+      "Engine image load: cold build vs v2 mmap",
       "DESIGN.md S11");
   for (const Corpus& corpus : LoadCorpora()) {
     RunCorpus(corpus, reporter);

@@ -2,16 +2,20 @@
 // Drives both entry points over the same input:
 //  1. EngineImage::FromBuffer — the v2 arena parse + view wiring
 //     (ImageView::Parse, section table, CRC32c, alignment checks);
-//  2. LoadSnapshot — the full on-disk dispatch (v1 record parse / v2 mmap),
-//     through a real temp file so the mmap path itself is exercised.
+//  2. LoadSnapshot — the full on-disk path (header sniff, version check,
+//     v2 mmap), through a real temp file so the mmap path itself is
+//     exercised.
 // The contract under test is snapshot.h's: corrupt, truncated or
 // bit-flipped input yields a Status, never a crash — so the harness just
 // feeds bytes and, when a hostile image somehow parses, runs one
-// extraction to prove the wired views are actually usable.
+// extraction to prove the wired views are actually usable. Only version 2
+// may ever load: an input stamped with any other version (the corpus
+// keeps two retired v1 files as seeds) that LoadSnapshot accepts aborts.
 #include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -48,7 +52,12 @@ void FuzzLoadSnapshot(const uint8_t* data, size_t size) {
   close(fd);
   if (written == static_cast<ssize_t>(size)) {
     auto engine = aeetes::LoadSnapshot(path);
-    if (engine.ok()) DriveLoadedEngine(**engine);
+    if (engine.ok()) {
+      uint32_t version = 0;
+      if (size >= 8) std::memcpy(&version, data + 4, sizeof(version));
+      if (version != aeetes::kImageVersion) std::abort();
+      DriveLoadedEngine(**engine);
+    }
   }
   unlink(path);
 }

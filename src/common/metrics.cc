@@ -155,33 +155,6 @@ const Histogram* MetricsRegistry::FindHistogram(std::string_view name) const {
   return it == histograms_.end() ? nullptr : it->second.get();
 }
 
-std::vector<std::pair<std::string, const Counter*>> MetricsRegistry::Counters()
-    const {
-  MutexLock lock(mu_);
-  std::vector<std::pair<std::string, const Counter*>> out;
-  out.reserve(counters_.size());
-  for (const auto& [name, c] : counters_) out.emplace_back(name, c.get());
-  return out;
-}
-
-std::vector<std::pair<std::string, const Gauge*>> MetricsRegistry::Gauges()
-    const {
-  MutexLock lock(mu_);
-  std::vector<std::pair<std::string, const Gauge*>> out;
-  out.reserve(gauges_.size());
-  for (const auto& [name, g] : gauges_) out.emplace_back(name, g.get());
-  return out;
-}
-
-std::vector<std::pair<std::string, const Histogram*>>
-MetricsRegistry::Histograms() const {
-  MutexLock lock(mu_);
-  std::vector<std::pair<std::string, const Histogram*>> out;
-  out.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) out.emplace_back(name, h.get());
-  return out;
-}
-
 std::string MetricsRegistry::ToJson() const {
   MutexLock lock(mu_);
   std::string out = "{\"counters\":{";

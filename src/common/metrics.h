@@ -146,17 +146,6 @@ class MetricsRegistry {
   [[nodiscard]] const Histogram* FindHistogram(std::string_view name) const
       AEETES_EXCLUDES(mu_);
 
-  /// Sorted (name, metric) enumeration of what is registered right now.
-  /// The pointers stay valid for the life of the registry (same stability
-  /// guarantee as the references Register* returns); the telemetry hub
-  /// uses this to pick its tracked set once at startup.
-  [[nodiscard]] std::vector<std::pair<std::string, const Counter*>> Counters()
-      const AEETES_EXCLUDES(mu_);
-  [[nodiscard]] std::vector<std::pair<std::string, const Gauge*>> Gauges()
-      const AEETES_EXCLUDES(mu_);
-  [[nodiscard]] std::vector<std::pair<std::string, const Histogram*>>
-  Histograms() const AEETES_EXCLUDES(mu_);
-
   /// Compact single-line JSON snapshot:
   ///   {"counters":{...},"gauges":{...},
   ///    "histograms":{"n":{"count":c,"sum":s,"buckets":[32 ints]}}}

@@ -65,18 +65,6 @@ class CondVar {
     lk.release();  // the caller still owns the (reacquired) mutex
   }
 
-  /// Timed Wait: returns false when the timeout elapsed without a
-  /// notification (the caller re-checks its condition either way, exactly
-  /// like the untimed loop). Used by periodic background threads — the
-  /// telemetry ticker — so they park between ticks yet stop promptly.
-  bool WaitFor(Mutex& mu, int64_t timeout_ms) AEETES_REQUIRES(mu) {
-    std::unique_lock<std::mutex> lk(mu.mu_, std::adopt_lock);
-    const std::cv_status status =
-        cv_.wait_for(lk, std::chrono::milliseconds(timeout_ms));
-    lk.release();  // the caller still owns the (reacquired) mutex
-    return status == std::cv_status::no_timeout;
-  }
-
   void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 

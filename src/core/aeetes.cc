@@ -144,8 +144,7 @@ Result<std::unique_ptr<Aeetes>> Aeetes::FromImage(
   return aeetes;
 }
 
-void Aeetes::PublishSnapshotMetrics(double load_us, uint64_t bytes,
-                                    bool mmap) const {
+void Aeetes::PublishSnapshotMetrics(double load_us, uint64_t bytes) const {
   metrics_
       .RegisterGauge("snapshot.load_us",
                      "snapshot open + wire + validate time (us)")
@@ -155,7 +154,7 @@ void Aeetes::PublishSnapshotMetrics(double load_us, uint64_t bytes,
   metrics_
       .RegisterGauge("snapshot.mmap",
                      "1 when the arena is a read-only file mapping")
-      .Set(mmap ? 1 : 0);
+      .Set(image().stats().mmap_backed ? 1 : 0);
 }
 
 void Aeetes::EnableFlightRecorder(const FlightRecorderOptions& options) {

@@ -75,7 +75,7 @@ class Aeetes {
       const std::vector<std::string>& rule_lines, AeetesOptions options = {});
 
   /// Wraps an already-derived dictionary by repacking it into a fresh
-  /// engine image (deep copy; the v1-snapshot and hand-assembly path).
+  /// engine image (deep copy; the hand-assembly path).
   static Result<std::unique_ptr<Aeetes>> FromDerivedDictionary(
       std::unique_ptr<DerivedDictionary> dd, AeetesOptions options = {});
 
@@ -163,16 +163,15 @@ class Aeetes {
   [[nodiscard]] const MetricsRegistry& metrics() const { return metrics_; }
 
   /// Mutable handle to the instance registry (the designated-mutable
-  /// member). Runtime components layered above the core — pool gauges,
-  /// telemetry publishers — write through this; updates stay lock-free
-  /// relaxed atomics, so it is as safe as the const view.
+  /// member). Runtime components layered above the core — pool gauges —
+  /// write through this; updates stay lock-free relaxed atomics, so it is
+  /// as safe as the const view.
   [[nodiscard]] MetricsRegistry& mutable_metrics() const { return metrics_; }
 
   /// Publishes `snapshot.{load_us,bytes,mmap}` gauges describing how this
-  /// instance's image was loaded. Called by LoadSnapshot / the CLI; const
+  /// instance's image was loaded. Called by LoadSnapshot; const
   /// because the registry is the designated-mutable member.
-  void PublishSnapshotMetrics(double load_us, uint64_t bytes,
-                              bool mmap) const;
+  void PublishSnapshotMetrics(double load_us, uint64_t bytes) const;
 
   /// Turns on the always-on flight recorder: every 1-in-N Extract keeps
   /// its full span tree, any call over the slow threshold is retained

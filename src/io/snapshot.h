@@ -26,17 +26,12 @@ Status SaveVersionedSnapshot(const Aeetes& aeetes, const std::string& dir,
                              const std::string& name, uint64_t version,
                              std::string* out_path = nullptr);
 
-/// Writes the legacy v1 record format (dictionary + derived entities; the
-/// index is rebuilt at load). Kept so older deployments can still consume
-/// snapshots produced here, and as the fixture for the v1 load path.
-Status SaveSnapshotV1(const Aeetes& aeetes, const std::string& path);
-
-/// Loads a snapshot written by either SaveSnapshot variant, dispatching on
-/// the version stamped in the first 8 bytes: v2 files are mmapped
-/// zero-copy, v1 files are parsed and repacked (index rebuild, as always
-/// for v1). `options` supplies the runtime configuration (strategy,
-/// metric, weighted, ...) — the stored state is metric-independent, so
-/// any options work with any snapshot. Publishes
+/// Loads a snapshot written by either SaveSnapshot variant: the v2 image is
+/// mmapped and wired zero-copy. Any other version stamped in the first 8
+/// bytes (including the retired v1 record format) fails with
+/// InvalidArgument naming the version. `options` supplies the runtime
+/// configuration (strategy, metric, weighted, ...) — the stored state is
+/// metric-independent, so any options work with any snapshot. Publishes
 /// `snapshot.{load_us,bytes,mmap}` gauges on the returned instance.
 /// Corrupt, truncated or bit-flipped input yields a Status, never a
 /// crash.

@@ -125,7 +125,7 @@ class ParallelExtractor {
 
   /// Publishes the pool snapshot as `runtime.*` gauges into the engine's
   /// registry. ExtractAll* calls this after every run; long-lived callers
-  /// hook it to a TelemetryTicker for fresh per-tick values.
+  /// may republish it whenever they scrape.
   void PublishRuntimeMetrics() const {
     pool_->PublishMetrics(aeetes_.mutable_metrics());
   }

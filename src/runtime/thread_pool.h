@@ -143,8 +143,7 @@ class ThreadPool {
 
   /// Publishes GetStats() as `runtime.pool.*` and `runtime.worker.<i>.*`
   /// gauges (busy fractions as parts-per-million ints). Registration is
-  /// idempotent, so callers republish after every run — and the telemetry
-  /// ticker can republish on every tick.
+  /// idempotent, so callers republish after every run.
   void PublishMetrics(MetricsRegistry& registry) const AEETES_EXCLUDES(mu_);
 
  private:

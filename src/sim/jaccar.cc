@@ -82,15 +82,6 @@ JaccArScore JaccArVerifier::BestAbove(EntityId e,
   return best;
 }
 
-JaccArScore JaccArVerifier::BestAboveRanks(EntityId e,
-                                           const TokenRank* substring_ranks,
-                                           size_t substring_size,
-                                           double tau) const {
-  return BestAboveRanksPartner(
-      e, substring_ranks, substring_size, tau,
-      PartnerLengthRange(options_.metric, substring_size, tau));
-}
-
 JaccArScore JaccArVerifier::BestAboveRanksPartner(
     EntityId e, const TokenRank* substring_ranks, size_t substring_size,
     double tau, const LengthRange& partner) const {
@@ -165,23 +156,6 @@ JaccArScore FuzzyJaccArVerifier::Score(
     }
   }
   return best;
-}
-
-bool JaccArVerifier::AtLeast(EntityId e, const TokenSeq& substring_ordered_set,
-                             double tau) const {
-  const auto [begin, end] = dd_.DerivedRange(e);
-  const TokenDictionary& dict = dd_.token_dict();
-  const LengthRange partner =
-      PartnerLengthRange(options_.metric, substring_ordered_set.size(), tau);
-  for (DerivedId d = begin; d < end; ++d) {
-    const Span<TokenId> set = dd_.ordered_set(d);
-    if (!partner.Contains(set.size())) continue;
-    double s = SimilarityOnOrderedSets(options_.metric, set,
-                                       substring_ordered_set, dict);
-    if (options_.weighted) s *= dd_.weight(d);
-    if (s >= tau) return true;
-  }
-  return false;
 }
 
 }  // namespace aeetes

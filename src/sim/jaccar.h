@@ -44,10 +44,6 @@ class JaccArVerifier {
   JaccArScore Score(EntityId e, const TokenSeq& substring_ordered_set,
                     double tau = 0.0) const;
 
-  /// True iff JaccAR(e, s) >= tau (early exit on the first witness).
-  bool AtLeast(EntityId e, const TokenSeq& substring_ordered_set,
-               double tau) const;
-
   /// Thresholded scoring with early-terminating overlap merges (future
   /// work (i)): derived entities whose overlap cannot reach tau abort
   /// after a few token comparisons. The returned score is exact whenever
@@ -59,14 +55,9 @@ class JaccArVerifier {
   /// BestAbove over the substring's pre-materialized rank array (see
   /// BuildOrderedRanksInto). The overlap merges compare plain integers
   /// against the dictionary's flat per-derived rank arena — this is the
-  /// verification hot path.
-  JaccArScore BestAboveRanks(EntityId e, const TokenRank* substring_ranks,
-                             size_t substring_size, double tau) const;
-
-  /// Hot-path variant with the substring-dependent inputs precomputed by
-  /// the caller: `partner` is the partner length range of the substring
-  /// set size — constant per substring, so verification computes it once
-  /// per window instead of once per candidate.
+  /// verification hot path. `partner` is the partner length range of the
+  /// substring set size — constant per substring, so verification computes
+  /// it once per window instead of once per candidate.
   JaccArScore BestAboveRanksPartner(EntityId e,
                                     const TokenRank* substring_ranks,
                                     size_t substring_size, double tau,

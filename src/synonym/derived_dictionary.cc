@@ -153,18 +153,6 @@ Result<std::unique_ptr<DerivedDictionary>> DerivedDictionary::Build(
   return PackStandalone(std::move(parts));
 }
 
-Result<std::unique_ptr<DerivedDictionary>> DerivedDictionary::FromParts(
-    std::vector<TokenSeq> origins, std::vector<DerivedEntity> derived,
-    std::vector<DerivedId> origin_begin, std::unique_ptr<TokenDictionary> dict,
-    double avg_applicable_rules) {
-  AEETES_ASSIGN_OR_RETURN(
-      DerivedDictParts parts,
-      AssembleParts(std::move(origins), std::move(derived),
-                    std::move(origin_begin), std::move(dict),
-                    avg_applicable_rules));
-  return PackStandalone(std::move(parts));
-}
-
 Result<std::unique_ptr<DerivedDictionary>> DerivedDictionary::PackStandalone(
     DerivedDictParts parts) {
   ImageBuilder builder;

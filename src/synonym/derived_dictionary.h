@@ -86,7 +86,7 @@ struct DerivedDictParts {
 /// The derived dictionary E = union over e in E0 of D(e) (Section 2.1),
 /// together with the global token order. All entity data is read through
 /// `Span` views over one contiguous arena: either a private heap arena
-/// (standalone Build/FromParts, used by tests and baselines) or the
+/// (standalone Build, used by tests and baselines) or the
 /// engine image owned by the enclosing EngineImage (the Aeetes path —
 /// heap-built or mmap-loaded, same wiring either way). Owns the
 /// TokenDictionary wired over the same arena.
@@ -118,12 +118,6 @@ class DerivedDictionary {
       std::vector<TokenSeq> entities, const RuleSet& rules,
       std::unique_ptr<TokenDictionary> dict,
       const DerivedDictionaryOptions& options = {});
-
-  /// Standalone convenience: AssembleParts + a private arena.
-  static Result<std::unique_ptr<DerivedDictionary>> FromParts(
-      std::vector<TokenSeq> origins, std::vector<DerivedEntity> derived,
-      std::vector<DerivedId> origin_begin,
-      std::unique_ptr<TokenDictionary> dict, double avg_applicable_rules);
 
   /// Flattens `parts` into image sections: the dictionary sections, every
   /// derived-dictionary section (including the size-sorted index and the
@@ -234,7 +228,7 @@ class DerivedDictionary {
     return arena.subspan(begin, end - begin);
   }
 
-  /// Wires `parts` through a private arena (standalone Build/FromParts).
+  /// Wires `parts` through a private arena (standalone Build).
   static Result<std::unique_ptr<DerivedDictionary>> PackStandalone(
       DerivedDictParts parts);
 

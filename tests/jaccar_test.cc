@@ -88,8 +88,8 @@ TEST_F(JaccArTest, LengthFilteredScoreStillFindsWitnessAboveTau) {
   const auto unfiltered = v.Score(0, s, 0.0);
   const auto filtered = v.Score(0, s, 0.9);
   EXPECT_DOUBLE_EQ(unfiltered.score, filtered.score);
-  EXPECT_TRUE(v.AtLeast(0, s, 0.9));
-  EXPECT_FALSE(v.AtLeast(1, s, 0.5));
+  EXPECT_GE(v.BestAbove(0, s, 0.9).score, 0.9);
+  EXPECT_EQ(v.BestAbove(1, s, 0.5).best_derived, JaccArScore::kNoDerived);
 }
 
 TEST_F(JaccArTest, WeightedRulesScaleScores) {

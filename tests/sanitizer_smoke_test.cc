@@ -3,8 +3,8 @@
 // extract from every document under every filter strategy. Unit tests
 // cover each stage in isolation; this test exists so that `ctest` under
 // ASan/UBSan/TSan walks the same offline-build -> candidate-generation ->
-// verification path a real deployment does, including the compressed
-// index and the stats invariants.
+// verification path a real deployment does, including the stats
+// invariants.
 
 #include <fstream>
 #include <string>
@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "src/core/aeetes.h"
-#include "src/index/compressed_index.h"
 #include "tests/test_util.h"
 
 #ifndef AEETES_DATA_DIR
@@ -107,27 +106,6 @@ TEST_F(SanitizerSmokeTest, SynonymMatchesAreFound) {
   auto result = aeetes->Extract(doc, 0.9);
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_FALSE(result->matches.empty());
-}
-
-TEST_F(SanitizerSmokeTest, CompressedIndexDecodesToPlainIndex) {
-  auto built = Aeetes::BuildFromText(entities_, rules_);
-  ASSERT_TRUE(built.ok()) << built.status();
-  auto& aeetes = *built;
-  const ClusteredIndex& plain = aeetes->index();
-  const size_t vocab = aeetes->derived_dictionary().token_dict().size();
-  auto packed = CompressedIndex::Build(plain, vocab);
-  ASSERT_EQ(packed->num_entries(), plain.num_entries());
-  // Scan every token (plus one past the vocabulary and the kNoToken
-  // sentinel, which used to wrap a 32-bit index) and compare entry counts.
-  size_t decoded_entries = 0;
-  for (TokenId t = 0; t < vocab + 1; ++t) {
-    packed->Scan(t, [&](uint32_t, EntityId, DerivedId, uint32_t) {
-      ++decoded_entries;
-    });
-  }
-  packed->Scan(kNoToken,
-               [](uint32_t, EntityId, DerivedId, uint32_t) { FAIL(); });
-  EXPECT_EQ(decoded_entries, plain.num_entries());
 }
 
 TEST_F(SanitizerSmokeTest, LookupStringResolvesMentions) {

@@ -10,7 +10,6 @@
 
 #include "src/datagen/generator.h"
 #include "src/datagen/profile.h"
-#include "src/io/binary_stream.h"
 #include "tests/test_util.h"
 
 #ifndef AEETES_DATA_DIR
@@ -133,46 +132,25 @@ TEST_F(SnapshotTest, RoundTripPreservesExtractionResults) {
   ExpectSameExtraction(*original, **loaded, ds.documents);
 }
 
-TEST_F(SnapshotTest, V1RoundTripPreservesExtractionResults) {
-  const SyntheticDataset ds = SmallDataset();
-  auto built = Aeetes::BuildFromText(ds.entity_texts, ds.rule_lines);
-  ASSERT_TRUE(built.ok());
-  auto& original = *built;
-
-  ASSERT_TRUE(SaveSnapshotV1(*original, path_).ok());
-  auto loaded = LoadSnapshot(path_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_FALSE((*loaded)->image().stats().mmap_backed);
-
-  ExpectSameDictionary(original->derived_dictionary(),
-                       (*loaded)->derived_dictionary());
-  ExpectSameExtraction(*original, **loaded, ds.documents);
-}
-
 TEST_F(SnapshotTest, PreservesRuleWeights) {
-  for (const bool v1 : {false, true}) {
-    auto dict = std::make_unique<TokenDictionary>();
-    const TokenId big = dict->GetOrAdd("big");
-    const TokenId apple = dict->GetOrAdd("apple");
-    const TokenId ny = dict->GetOrAdd("ny");
-    RuleSet rules;
-    ASSERT_TRUE(rules.Add({big, apple}, {ny}, 0.7).ok());
-    AeetesOptions options;
-    options.weighted = true;
-    auto built =
-        Aeetes::Build({{big, apple}}, rules, std::move(dict), options);
-    ASSERT_TRUE(built.ok());
-    ASSERT_TRUE((v1 ? SaveSnapshotV1(**built, path_)
-                    : SaveSnapshot(**built, path_))
-                    .ok());
-    auto loaded = LoadSnapshot(path_, options);
-    ASSERT_TRUE(loaded.ok()) << "v1=" << v1 << ": " << loaded.status();
-    Document doc = (*loaded)->EncodeDocument("ny pizza");
-    auto result = (*loaded)->Extract(doc, 0.6);
-    ASSERT_TRUE(result.ok());
-    ASSERT_EQ(result->matches.size(), 1u);
-    EXPECT_DOUBLE_EQ(result->matches[0].score, 0.7);
-  }
+  auto dict = std::make_unique<TokenDictionary>();
+  const TokenId big = dict->GetOrAdd("big");
+  const TokenId apple = dict->GetOrAdd("apple");
+  const TokenId ny = dict->GetOrAdd("ny");
+  RuleSet rules;
+  ASSERT_TRUE(rules.Add({big, apple}, {ny}, 0.7).ok());
+  AeetesOptions options;
+  options.weighted = true;
+  auto built = Aeetes::Build({{big, apple}}, rules, std::move(dict), options);
+  ASSERT_TRUE(built.ok());
+  ASSERT_TRUE(SaveSnapshot(**built, path_).ok());
+  auto loaded = LoadSnapshot(path_, options);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  Document doc = (*loaded)->EncodeDocument("ny pizza");
+  auto result = (*loaded)->Extract(doc, 0.6);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->matches.size(), 1u);
+  EXPECT_DOUBLE_EQ(result->matches[0].score, 0.7);
 }
 
 TEST_F(SnapshotTest, PublishesSnapshotGauges) {
@@ -203,16 +181,28 @@ TEST_F(SnapshotTest, RejectsWrongMagic) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
+/// Only the v2 engine image loads. Version 1 (the retired record format)
+/// and unknown versions fail typed, naming the version, before any of the
+/// body is parsed.
 TEST_F(SnapshotTest, RejectsUnsupportedVersion) {
   auto built = Aeetes::BuildFromText({"alpha beta"}, {});
   ASSERT_TRUE(built.ok());
   ASSERT_TRUE(SaveSnapshot(**built, path_).ok());
-  std::vector<uint8_t> bytes = ReadFileBytes(path_);
-  ASSERT_GE(bytes.size(), 8u);
-  bytes[4] = 99;  // version field, little-endian low byte
-  WriteFileBytes(path_, bytes);
-  auto loaded = LoadSnapshot(path_);
-  EXPECT_FALSE(loaded.ok());
+  const std::vector<uint8_t> pristine = ReadFileBytes(path_);
+  ASSERT_GE(pristine.size(), 8u);
+  for (const uint8_t version : {uint8_t{1}, uint8_t{99}}) {
+    std::vector<uint8_t> bytes = pristine;
+    bytes[4] = version;  // version field, little-endian low byte
+    WriteFileBytes(path_, bytes);
+    auto loaded = LoadSnapshot(path_);
+    ASSERT_FALSE(loaded.ok()) << "version " << int{version};
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << loaded.status();
+    EXPECT_NE(loaded.status().message().find("version " +
+                                             std::to_string(version)),
+              std::string::npos)
+        << loaded.status();
+  }
 }
 
 TEST_F(SnapshotTest, RejectsTruncatedFile) {
@@ -274,31 +264,10 @@ TEST_F(SnapshotTest, V2BitFlipsNeverCrashOrCorrupt) {
   SUCCEED() << rejected << " flips rejected, " << survived << " benign";
 }
 
-/// The v1 reader must survive the same fuzz without crashing; v1 carries no
-/// checksums, so corrupted loads may succeed with different content — the
-/// only contract is structural safety (bounded reads, Status on failure).
-TEST_F(SnapshotTest, V1BitFlipsNeverCrash) {
-  auto built = Aeetes::BuildFromText(
-      {"big apple pizza", "new york city", "alpha beta gamma"},
-      {"big apple <=> new york"});
-  ASSERT_TRUE(built.ok());
-  ASSERT_TRUE(SaveSnapshotV1(**built, path_).ok());
-  const std::vector<uint8_t> pristine = ReadFileBytes(path_);
-  ASSERT_GT(pristine.size(), 0u);
-
-  for (size_t pos = 0; pos < pristine.size(); pos += 53) {
-    std::vector<uint8_t> bytes = pristine;
-    bytes[pos] ^= 0xFF;
-    WriteFileBytes(path_, bytes);
-    auto loaded = LoadSnapshot(path_);  // must not crash; result is free
-    (void)loaded;
-  }
-}
-
 /// Cross-backing equivalence on the real institutions dataset: the engine
-/// built in memory, the one rebuilt from a v1 snapshot, and the one mmapped
-/// from a v2 snapshot must produce identical (entity, span, score) sets
-/// under all four filtering strategies.
+/// built in memory (heap-packed image) and the one mmapped from its v2
+/// snapshot must produce identical (entity, span, score) sets under all
+/// four filtering strategies.
 TEST_F(SnapshotTest, CrossBackingEquivalenceOnInstitutions) {
   const std::string dir = std::string(AEETES_DATA_DIR) + "/institutions";
   const auto entities = ReadLines(dir + "/entities.txt");
@@ -316,77 +285,12 @@ TEST_F(SnapshotTest, CrossBackingEquivalenceOnInstitutions) {
     auto built = Aeetes::BuildFromText(entities, rules, options);
     ASSERT_TRUE(built.ok()) << built.status();
 
-    for (const bool v1 : {false, true}) {
-      ASSERT_TRUE((v1 ? SaveSnapshotV1(**built, path_)
-                      : SaveSnapshot(**built, path_))
-                      .ok());
-      auto loaded = LoadSnapshot(path_, options);
-      ASSERT_TRUE(loaded.ok())
-          << "strategy=" << static_cast<int>(strategy) << " v1=" << v1
-          << ": " << loaded.status();
-      ExpectSameExtraction(**built, **loaded, documents);
-    }
+    ASSERT_TRUE(SaveSnapshot(**built, path_).ok());
+    auto loaded = LoadSnapshot(path_, options);
+    ASSERT_TRUE(loaded.ok()) << "strategy=" << static_cast<int>(strategy)
+                             << ": " << loaded.status();
+    ExpectSameExtraction(**built, **loaded, documents);
   }
-}
-
-TEST(BinaryStreamTest, PrimitivesRoundTrip) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "aeetes_bin_test.bin")
-          .string();
-  {
-    BinaryWriter w(path);
-    w.WriteU32(0xdeadbeef);
-    w.WriteU64(1ull << 40);
-    w.WriteDouble(0.8);
-    w.WriteString("hello");
-    w.WriteU32Vector({1, 2, 3});
-    ASSERT_TRUE(w.Finish().ok());
-  }
-  BinaryReader r(path);
-  EXPECT_EQ(r.ReadU32(), 0xdeadbeefu);
-  EXPECT_EQ(r.ReadU64(), 1ull << 40);
-  EXPECT_DOUBLE_EQ(r.ReadDouble(), 0.8);
-  EXPECT_EQ(r.ReadString(), "hello");
-  EXPECT_EQ(r.ReadU32Vector(), (std::vector<uint32_t>{1, 2, 3}));
-  EXPECT_TRUE(r.ok());
-  std::error_code ec;
-  std::filesystem::remove(path, ec);
-}
-
-TEST(BinaryStreamTest, ReadPastEndFails) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "aeetes_bin_eof.bin")
-          .string();
-  {
-    BinaryWriter w(path);
-    w.WriteU32(7);
-    ASSERT_TRUE(w.Finish().ok());
-  }
-  BinaryReader r(path);
-  EXPECT_EQ(r.ReadU32(), 7u);
-  r.ReadU64();
-  EXPECT_FALSE(r.ok());
-  std::error_code ec;
-  std::filesystem::remove(path, ec);
-}
-
-/// A declared element count far past the end of the file must fail cleanly
-/// without attempting the allocation it promises.
-TEST(BinaryStreamTest, HugeDeclaredCountFailsWithoutAllocating) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "aeetes_bin_huge.bin")
-          .string();
-  {
-    BinaryWriter w(path);
-    w.WriteU32(0xFFFFFFF0u);  // element count with no elements following
-    ASSERT_TRUE(w.Finish().ok());
-  }
-  BinaryReader r(path);
-  const auto v = r.ReadU32Vector();
-  EXPECT_TRUE(v.empty());
-  EXPECT_FALSE(r.ok());
-  std::error_code ec;
-  std::filesystem::remove(path, ec);
 }
 
 }  // namespace

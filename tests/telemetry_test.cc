@@ -1,17 +1,10 @@
-// Tests for the continuous telemetry layer (DESIGN.md §13): rolling-window
-// percentiles over the snapshot ring, the Prometheus exposition, the
-// background ticker, and the flight recorder's K-slowest retention. The
-// concurrency tests here are part of the tsan preset's proof obligation
-// for the seqlock ring.
+// Tests for the operator metrics path (DESIGN.md §13): the Prometheus
+// exposition and the flight recorder's K-slowest retention.
 
 #include "src/common/telemetry.h"
 
-#include <atomic>
-#include <chrono>
-#include <cmath>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -23,233 +16,6 @@
 
 namespace aeetes {
 namespace {
-
-void SleepMs(int64_t ms) {
-  std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-}
-
-// ---------------------------------------------------------------------------
-// Percentile interpolation
-// ---------------------------------------------------------------------------
-
-TEST(PercentileTest, EmptyAndAllZeroSamples) {
-  uint64_t buckets[Histogram::kNumBuckets] = {};
-  EXPECT_EQ(TelemetryHub::PercentileFromBuckets(buckets, 0, 0.5), 0.0);
-  buckets[0] = 10;  // ten exact zeros
-  EXPECT_EQ(TelemetryHub::PercentileFromBuckets(buckets, 10, 0.5), 0.0);
-  EXPECT_EQ(TelemetryHub::PercentileFromBuckets(buckets, 10, 1.0), 0.0);
-}
-
-TEST(PercentileTest, LogLinearInterpolationWithinOneBucket) {
-  // Bucket 3 spans [4, 7]; four samples there, nothing else.
-  uint64_t buckets[Histogram::kNumBuckets] = {};
-  buckets[3] = 4;
-  // rank 1 of 4 -> 4 * 2^(1/4).
-  EXPECT_NEAR(TelemetryHub::PercentileFromBuckets(buckets, 4, 0.25),
-              4.0 * std::exp2(0.25), 1e-9);
-  // rank 4 of 4 -> 4 * 2^1 = 8, capped at the inclusive upper bound 7.
-  EXPECT_EQ(TelemetryHub::PercentileFromBuckets(buckets, 4, 1.0), 7.0);
-}
-
-TEST(PercentileTest, RanksSpanBucketsAndZerosBucketWins) {
-  uint64_t buckets[Histogram::kNumBuckets] = {};
-  buckets[0] = 1;  // one exact zero
-  buckets[1] = 1;  // one sample of value 1
-  // rank 1 lands in the zeros bucket, rank 2 in [1, 1].
-  EXPECT_EQ(TelemetryHub::PercentileFromBuckets(buckets, 2, 0.5), 0.0);
-  EXPECT_EQ(TelemetryHub::PercentileFromBuckets(buckets, 2, 1.0), 1.0);
-}
-
-TEST(PercentileTest, OverflowBucketClampsToLowerBound) {
-  uint64_t buckets[Histogram::kNumBuckets] = {};
-  buckets[Histogram::kNumBuckets - 1] = 5;
-  // Values past 2^30 are unbounded; the honest answer is the bucket floor.
-  EXPECT_EQ(TelemetryHub::PercentileFromBuckets(buckets, 5, 0.99),
-            std::ldexp(1.0, 30));
-}
-
-TEST(PercentileTest, QuantileIsClampedToValidRange) {
-  uint64_t buckets[Histogram::kNumBuckets] = {};
-  buckets[2] = 10;  // [2, 3]
-  const double lo = TelemetryHub::PercentileFromBuckets(buckets, 10, -0.5);
-  const double hi = TelemetryHub::PercentileFromBuckets(buckets, 10, 2.0);
-  EXPECT_GE(lo, 2.0);
-  EXPECT_LE(hi, 3.0);
-}
-
-// ---------------------------------------------------------------------------
-// TelemetryHub ring
-// ---------------------------------------------------------------------------
-
-TEST(TelemetryHubTest, WindowAndRateOverTwoTicks) {
-  MetricsRegistry registry;
-  Counter& calls = registry.RegisterCounter("calls", "test counter");
-  Histogram& lat = registry.RegisterHistogram("lat", "test histogram");
-  TelemetryHub hub(&registry);
-  hub.TrackCounter("calls");
-  hub.TrackHistogram("lat");
-
-  // One tick is not a window.
-  hub.Tick();
-  EXPECT_FALSE(hub.Window("lat").valid);
-  EXPECT_LT(hub.Rate("calls"), 0.0);
-
-  calls.Add(100);
-  for (int i = 0; i < 50; ++i) lat.Record(10);
-  SleepMs(2);  // the window span must be nonzero wall time
-  hub.Tick();
-
-  const WindowedView view = hub.Window("lat");
-  ASSERT_TRUE(view.valid);
-  EXPECT_EQ(view.samples, 50u);
-  EXPECT_GT(view.span_seconds, 0.0);
-  EXPECT_GT(view.rate_1m, 0.0);
-  // All 50 samples are 10 us: bucket 4 spans [8, 15].
-  EXPECT_GE(view.p50, 8.0);
-  EXPECT_LE(view.p99, 15.0);
-  EXPECT_LE(view.p50, view.p95);
-  EXPECT_LE(view.p95, view.p99);
-
-  const double rate = hub.Rate("calls");
-  EXPECT_GT(rate, 0.0);
-
-  EXPECT_FALSE(hub.Window("no.such.histogram").valid);
-  EXPECT_LT(hub.Rate("no.such.counter"), 0.0);
-}
-
-TEST(TelemetryHubTest, WindowOnlyCountsEventsInsideIt) {
-  MetricsRegistry registry;
-  Histogram& lat = registry.RegisterHistogram("lat", "test histogram");
-  TelemetryHub hub(&registry);
-  hub.TrackHistogram("lat");
-
-  for (int i = 0; i < 1000; ++i) lat.Record(1);  // before the first tick
-  hub.Tick();
-  SleepMs(2);
-  for (int i = 0; i < 7; ++i) lat.Record(1000);  // inside the window
-  hub.Tick();
-
-  const WindowedView view = hub.Window("lat");
-  ASSERT_TRUE(view.valid);
-  // The 1000 pre-window samples are in both snapshots and cancel out.
-  EXPECT_EQ(view.samples, 7u);
-  EXPECT_GE(view.p50, 512.0);
-}
-
-TEST(TelemetryHubTest, RingWrapKeepsServingWindows) {
-  MetricsRegistry registry;
-  Histogram& lat = registry.RegisterHistogram("lat", "test histogram");
-  TelemetryHub hub(&registry);
-  hub.TrackHistogram("lat");
-
-  // Lap the ring three times over; every post-warmup window must still
-  // resolve against in-ring history.
-  for (size_t t = 0; t < TelemetryHub::kRingSlots * 3; ++t) {
-    lat.Record(42);
-    hub.Tick();
-  }
-  EXPECT_EQ(hub.ticks(), TelemetryHub::kRingSlots * 3);
-  SleepMs(2);
-  lat.Record(42);
-  hub.Tick();
-  const WindowedView view = hub.Window("lat", 3600.0);
-  ASSERT_TRUE(view.valid);
-  EXPECT_GE(view.samples, 1u);
-  // The base slot cannot be older than the ring.
-  EXPECT_LE(view.span_seconds, 3600.0);
-}
-
-TEST(TelemetryHubTest, TrackAllPicksUpEveryRegisteredMetric) {
-  MetricsRegistry registry;
-  registry.RegisterCounter("a", "h");
-  registry.RegisterCounter("b", "h");
-  registry.RegisterHistogram("h1", "h");
-  TelemetryHub hub(&registry);
-  hub.TrackAll();
-  EXPECT_EQ(hub.tracked_counters(), 2u);
-  EXPECT_EQ(hub.tracked_histograms(), 1u);
-}
-
-// The tsan preset turns this into a real seqlock race hunt: one 1 ms
-// ticker thread rotating slots, two writer threads mutating the tracked
-// metrics, one reader thread consuming windows — all concurrently.
-TEST(TelemetryHubTest, ConcurrentTickersWritersAndReaders) {
-  MetricsRegistry registry;
-  Counter& calls = registry.RegisterCounter("calls", "test counter");
-  Histogram& lat = registry.RegisterHistogram("lat", "test histogram");
-  TelemetryHub hub(&registry);
-  hub.TrackAll();
-
-  TelemetryTicker::Options opts;
-  opts.interval_ms = 1;
-  TelemetryTicker ticker(&hub, opts);
-  ticker.Start();
-
-  std::atomic<bool> stop{false};
-  std::thread writer1([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      calls.Increment();
-      lat.Record(17);
-    }
-  });
-  std::thread writer2([&] {
-    while (!stop.load(std::memory_order_relaxed)) lat.Record(123456);
-  });
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      const WindowedView view = hub.Window("lat", 0.005);
-      if (view.valid) {
-        EXPECT_GE(view.p99, view.p50);
-      }
-      (void)hub.Rate("calls", 0.005);
-    }
-  });
-
-  SleepMs(100);
-  stop.store(true, std::memory_order_relaxed);
-  writer1.join();
-  writer2.join();
-  reader.join();
-  ticker.Stop();
-  EXPECT_GE(hub.ticks(), 2u);
-}
-
-// ---------------------------------------------------------------------------
-// TelemetryTicker
-// ---------------------------------------------------------------------------
-
-TEST(TelemetryTickerTest, StartStopAndPerTickHook) {
-  MetricsRegistry registry;
-  registry.RegisterCounter("c", "h");
-  TelemetryHub hub(&registry);
-  hub.TrackAll();
-
-  TelemetryTicker::Options opts;
-  opts.interval_ms = 5;
-  TelemetryTicker ticker(&hub, opts);
-  std::atomic<uint64_t> hook_calls{0};
-  ticker.SetOnTick([&] { hook_calls.fetch_add(1); });
-
-  EXPECT_FALSE(ticker.running());
-  ticker.Start();
-  ticker.Start();  // idempotent
-  EXPECT_TRUE(ticker.running());
-  // Bounded wait for two ticks (generous: CI machines stall).
-  for (int i = 0; i < 1000 && hub.ticks() < 2; ++i) SleepMs(5);
-  EXPECT_GE(hub.ticks(), 2u);
-  ticker.Stop();
-  ticker.Stop();  // idempotent
-  EXPECT_FALSE(ticker.running());
-  // The hook runs once per tick, before it.
-  EXPECT_GE(hook_calls.load(), hub.ticks());
-
-  // Restartable after a stop.
-  const uint64_t before = hub.ticks();
-  ticker.Start();
-  for (int i = 0; i < 1000 && hub.ticks() == before; ++i) SleepMs(5);
-  ticker.Stop();
-  EXPECT_GT(hub.ticks(), before);
-}
 
 // ---------------------------------------------------------------------------
 // Prometheus exposition

@@ -159,6 +159,7 @@ step_fuzz() {
   local bindir=build/fuzz
   local -a cmake_args=(-DCMAKE_BUILD_TYPE=Debug -DAEETES_FUZZ=ON
                        "-DAEETES_SANITIZE=address,undefined")
+  local -a targets=(snapshot tokenizer tsv server_frame)
   local libfuzzer=0
   if command -v clang++ >/dev/null 2>&1; then
     cmake_args+=(-DCMAKE_C_COMPILER=clang -DCMAKE_CXX_COMPILER=clang++)
@@ -167,8 +168,7 @@ step_fuzz() {
   if ! cmake -S . -B "$bindir" "${cmake_args[@]}" \
         >"$bindir.configure.log" 2>&1 \
      || ! cmake --build "$bindir" -j "$JOBS" \
-          --target fuzz_snapshot fuzz_postings fuzz_tokenizer fuzz_tsv \
-                   fuzz_server_frame \
+          --target "${targets[@]/#/fuzz_}" \
           >"$bindir.build.log" 2>&1; then
     tail -n 60 "$bindir.build.log" 2>/dev/null || cat "$bindir.configure.log"
     fail fuzz "harness build failed"
@@ -176,7 +176,7 @@ step_fuzz() {
   fi
   local budget="${FUZZ_SECONDS:-30}"
   local t
-  for t in snapshot postings tokenizer tsv server_frame; do
+  for t in "${targets[@]}"; do
     local bin="$bindir/fuzz_build/fuzz_$t"
     if [ "$libfuzzer" = 1 ]; then
       # Coverage-guided from the seeds, bounded; crash artifacts land in

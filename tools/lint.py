@@ -23,9 +23,8 @@ mentioning `throw` does not trip the gate:
   AEETES_NO_THREAD_SAFETY_ANALYSIS     the TSA gate runs with zero
                    suppressions; an escape hatch use is a finding.
   steady_clock::now()   all timing flows through Stopwatch / ScopedTimer
-                   so latency lands in the metrics histograms (and the
-                   telemetry windows built on them) instead of ad-hoc
-                   clock math scattered through the library.
+                   so latency lands in the metrics histograms instead of
+                   ad-hoc clock math scattered through the library.
   const_cast<TokenDictionary   a frozen dictionary is shared read-only by
                    every thread of an engine; writing through a cast-away
                    const would reintroduce the races read-only document
