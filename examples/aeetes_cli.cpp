@@ -229,13 +229,8 @@ int main(int argc, char** argv) {
       }
     }
   } else {
-    // Encoding interns tokens and stays serial; extraction fans out over
-    // the runtime pool and merges back into document order.
-    std::vector<Document> encoded;
-    encoded.reserve(documents.size());
-    for (const std::string& text : documents) {
-      encoded.push_back(aeetes->EncodeDocument(text));
-    }
+    // The pool workers encode and extract every document; results merge
+    // back into document order.
     ParallelExtractorOptions popts;
     popts.num_threads = threads;
     popts.collect_traces = trace_stages;
@@ -244,19 +239,20 @@ int main(int argc, char** argv) {
       std::cerr << "runtime setup failed: " << extractor.status() << "\n";
       return 1;
     }
-    auto result = (*extractor)->ExtractAll(encoded, tau);
+    auto result = (*extractor)->ExtractTexts(documents, tau);
     if (!result.ok()) {
       std::cerr << "extraction failed: " << result.status() << "\n";
       return 1;
     }
+    const ParallelExtraction& extraction = result->extraction;
     for (size_t d = 0; d < documents.size(); ++d) {
-      PrintMatches(*aeetes, d, encoded[d], result->per_document[d].matches,
-                   &total);
+      PrintMatches(*aeetes, d, result->documents[d],
+                   extraction.per_document[d].matches, &total);
     }
     if (trace_stages) {
-      for (size_t w = 0; w < result->worker_traces.size(); ++w) {
+      for (size_t w = 0; w < extraction.worker_traces.size(); ++w) {
         std::cerr << "worker " << w << " trace:\n"
-                  << result->worker_traces[w].ToText();
+                  << extraction.worker_traces[w].ToText();
       }
     }
     std::cerr << "extracted on " << (*extractor)->num_threads()

@@ -33,6 +33,10 @@ void ConsumeFrames(FrameReader& reader) {
           request->collection.size() > aeetes::server::kMaxCollectionBytes) {
         __builtin_trap();
       }
+      // The filter strategy is the engine's, never a request's: a payload
+      // naming one must be rejected (seed removed_strategy_field.bin).
+      auto root = aeetes::server::ParseJson(payload);
+      if (root.ok() && root->Find("strategy") != nullptr) __builtin_trap();
     } else {
       (void)aeetes::server::ErrorResponse(request.status());
     }

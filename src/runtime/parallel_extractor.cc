@@ -74,11 +74,6 @@ Result<std::unique_ptr<ParallelExtractor>> ParallelExtractor::Create(
 
 Result<ParallelExtraction> ParallelExtractor::ExtractAll(
     Span<Document> documents, double tau) {
-  return ExtractAllWithStrategy(documents, tau, aeetes_.options().strategy);
-}
-
-Result<ParallelExtraction> ParallelExtractor::ExtractAllWithStrategy(
-    Span<Document> documents, double tau, FilterStrategy strategy) {
   AEETES_RETURN_IF_ERROR(CheckThreshold(tau));
   ParallelExtraction out;
   out.per_document.resize(documents.size());
@@ -124,8 +119,7 @@ Result<ParallelExtraction> ParallelExtractor::ExtractAllWithStrategy(
     // Submit applies backpressure: it blocks once queue_capacity tasks are
     // waiting, so planning a huge corpus cannot outrun the workers.
     Status submitted = pool_->Submit([this, documents, &tasks, &slots,
-                                      &worker_stats, &traces, ti, tau,
-                                      strategy] {
+                                      &worker_stats, &traces, ti, tau] {
       const ChunkTask& task = tasks[ti];
       ChunkSlot& slot = slots[ti];
       const size_t w = pool_->CurrentWorkerIndex();
@@ -136,12 +130,10 @@ Result<ParallelExtraction> ParallelExtractor::ExtractAllWithStrategy(
 
       Result<Aeetes::ExtractionSummary> result = [&] {
         if (task.begin == 0 && task.len == doc.size()) {
-          return aeetes_.ExtractIntoWithStrategy(scratch, doc, tau, strategy,
-                                                 trace);
+          return aeetes_.ExtractInto(scratch, doc, tau, trace);
         }
         const Document chunk = doc.Slice(task.begin, task.len);
-        auto chunk_result = aeetes_.ExtractIntoWithStrategy(
-            scratch, chunk, tau, strategy, trace);
+        auto chunk_result = aeetes_.ExtractInto(scratch, chunk, tau, trace);
         if (chunk_result.ok()) {
           for (Match& m : scratch.matches) {
             m.token_begin =
@@ -223,8 +215,8 @@ Result<ParallelExtraction> ParallelExtractor::ExtractAllWithStrategy(
   return out;
 }
 
-Result<TextExtraction> ParallelExtractor::ExtractTextsWithStrategy(
-    Span<std::string> texts, double tau, FilterStrategy strategy) {
+Result<TextExtraction> ParallelExtractor::ExtractTexts(Span<std::string> texts,
+                                                       double tau) {
   AEETES_RETURN_IF_ERROR(CheckThreshold(tau));
   TextExtraction out;
   out.documents.resize(texts.size());
@@ -241,9 +233,7 @@ Result<TextExtraction> ParallelExtractor::ExtractTextsWithStrategy(
     }
   }
   pool_->WaitIdle();
-  AEETES_ASSIGN_OR_RETURN(
-      out.extraction,
-      ExtractAllWithStrategy(out.documents, tau, strategy));
+  AEETES_ASSIGN_OR_RETURN(out.extraction, ExtractAll(out.documents, tau));
   return out;
 }
 

@@ -76,8 +76,8 @@ struct TextExtraction {
 /// ThreadPool against one shared, immutable `Aeetes`. The whole online
 /// path — EncodeDocument included — is const and race-free (the
 /// thread-safety contract in aeetes.h), so nothing needs to run serially:
-/// pass raw texts to ExtractTexts* and the workers encode them too, or
-/// pass Documents encoded elsewhere to ExtractAll*.
+/// pass raw texts to ExtractTexts and the workers encode them too, or
+/// pass Documents encoded elsewhere to ExtractAll.
 ///
 /// The extractor owns its pool and is reusable: ExtractAll may be called
 /// any number of times (even concurrently — per-call state is local and
@@ -94,23 +94,16 @@ class ParallelExtractor {
   static Result<std::unique_ptr<ParallelExtractor>> Create(
       const Aeetes& aeetes, const ParallelExtractorOptions& options = {});
 
-  /// Extracts from every document with the extractor's default strategy
+  /// Extracts from every document with the engine's filter strategy
   /// (AeetesOptions::strategy). Results are in document order regardless
   /// of completion order.
   Result<ParallelExtraction> ExtractAll(Span<Document> documents, double tau);
 
-  /// Extracts with an explicit filter strategy.
-  Result<ParallelExtraction> ExtractAllWithStrategy(Span<Document> documents,
-                                                    double tau,
-                                                    FilterStrategy strategy);
-
   /// Encodes every text with Aeetes::EncodeDocument on the pool workers,
-  /// then extracts from the encoded Documents exactly as
-  /// ExtractAllWithStrategy does (same chunk plan, merge and stats), so the
-  /// result is byte-identical to encoding first and calling that.
-  Result<TextExtraction> ExtractTextsWithStrategy(Span<std::string> texts,
-                                                  double tau,
-                                                  FilterStrategy strategy);
+  /// then extracts from the encoded Documents exactly as ExtractAll does
+  /// (same chunk plan, merge and stats), so the result is byte-identical to
+  /// encoding first and calling that.
+  Result<TextExtraction> ExtractTexts(Span<std::string> texts, double tau);
 
   [[nodiscard]] size_t num_threads() const { return pool_->num_threads(); }
   [[nodiscard]] const ParallelExtractorOptions& options() const {
@@ -124,7 +117,7 @@ class ParallelExtractor {
   }
 
   /// Publishes the pool snapshot as `runtime.*` gauges into the engine's
-  /// registry. ExtractAll* calls this after every run; long-lived callers
+  /// registry. ExtractAll calls this after every run; long-lived callers
   /// may republish it whenever they scrape.
   void PublishRuntimeMetrics() const {
     pool_->PublishMetrics(aeetes_.mutable_metrics());

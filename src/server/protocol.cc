@@ -49,31 +49,6 @@ FrameReader::Next FrameReader::Poll(std::string* payload) {
   return Next::kFrame;
 }
 
-bool ParseStrategyName(std::string_view name, FilterStrategy* out) {
-  if (name == "simple") {
-    *out = FilterStrategy::kSimple;
-  } else if (name == "skip") {
-    *out = FilterStrategy::kSkip;
-  } else if (name == "dynamic") {
-    *out = FilterStrategy::kDynamic;
-  } else if (name == "lazy") {
-    *out = FilterStrategy::kLazy;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-const char* StrategyName(FilterStrategy strategy) {
-  switch (strategy) {
-    case FilterStrategy::kSimple: return "simple";
-    case FilterStrategy::kSkip: return "skip";
-    case FilterStrategy::kDynamic: return "dynamic";
-    case FilterStrategy::kLazy: return "lazy";
-  }
-  return "unknown";
-}
-
 namespace {
 
 bool ParseVerbName(std::string_view name, Verb* out) {
@@ -199,13 +174,11 @@ Result<Request> ParseRequest(std::string_view payload) {
     }
   }
 
-  if (const JsonValue* strategy = root.Find("strategy"); strategy != nullptr) {
-    if (!strategy->is_string() ||
-        !ParseStrategyName(strategy->AsString(), &req.strategy)) {
-      return Status::InvalidArgument(
-          "'strategy' must be one of simple|skip|dynamic|lazy");
-    }
-    req.has_strategy = true;
+  // The filter strategy is a property of the engine (AeetesOptions), not
+  // of a request: a client that believes it picks one hears otherwise.
+  if (root.Find("strategy") != nullptr) {
+    return Status::InvalidArgument(
+        "'strategy' is not a request field; the collection's engine sets it");
   }
 
   switch (req.verb) {

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/core/candidate_generator.h"
 #include "src/server/json.h"
 
 namespace aeetes {
@@ -88,8 +87,6 @@ struct Request {
   std::string collection;
   std::string tenant = "default";
   double tau = 0.8;
-  FilterStrategy strategy = FilterStrategy::kLazy;
-  bool has_strategy = false;  // absent -> collection default
   std::vector<std::string> docs;      // extract
   std::vector<std::string> entities;  // create / upsert / remove
   std::vector<std::string> rules;     // create
@@ -117,10 +114,6 @@ int StatusToErrorCode(const Status& status);
 /// {"ok":false,"code":<code>,"error":"<message>"}.
 std::string ErrorResponse(int code, std::string_view message);
 std::string ErrorResponse(const Status& status);
-
-/// Strategy <-> wire name ("simple"|"skip"|"dynamic"|"lazy").
-bool ParseStrategyName(std::string_view name, FilterStrategy* out);
-const char* StrategyName(FilterStrategy strategy);
 
 }  // namespace server
 }  // namespace aeetes

@@ -68,27 +68,19 @@ void RequestBatcher::DispatchLoop() {
       if (queue_.empty() && draining_) return;
       taken.swap(queue_);
     }
-    // Group everything taken this wake-up by (engine, tau, strategy) and
-    // run each group as one batch. Grouping is stable, so a submitter's
-    // documents keep their relative order.
+    // Group everything taken this wake-up by (engine, tau) and run each
+    // group as one batch. Grouping is stable, so a submitter's documents
+    // keep their relative order.
     while (!taken.empty()) {
       std::vector<Job> group;
       group.push_back(std::move(taken.front()));
       const ServingEngine* engine = group.front().engine.get();
       const double tau = group.front().tau;
-      const FilterStrategy strategy =
-          group.front().has_strategy
-              ? group.front().strategy
-              : engine->aeetes->options().strategy;
       std::vector<Job> rest;
       rest.reserve(taken.size() - 1);
       for (size_t i = 1; i < taken.size(); ++i) {
         Job& job = taken[i];
-        const FilterStrategy job_strategy =
-            job.has_strategy ? job.strategy
-                             : job.engine->aeetes->options().strategy;
-        if (job.engine.get() == engine && job.tau == tau &&
-            job_strategy == strategy) {
+        if (job.engine.get() == engine && job.tau == tau) {
           group.push_back(std::move(job));
         } else {
           rest.push_back(std::move(job));
@@ -105,9 +97,6 @@ void RequestBatcher::RunGroup(std::vector<Job> group) {
   const int64_t dispatched_us = clock_.ElapsedMicros();
   const ServingEngine& engine = *group.front().engine;
   const double tau = group.front().tau;
-  const FilterStrategy strategy =
-      group.front().has_strategy ? group.front().strategy
-                                 : engine.aeetes->options().strategy;
 
   // One text list for the whole group; each job's docs keep their count
   // (the strings are moved out, not erased).
@@ -125,7 +114,7 @@ void RequestBatcher::RunGroup(std::vector<Job> group) {
 
   Stopwatch fanout;
   Result<TextExtraction> extraction =
-      engine.extractor->ExtractTextsWithStrategy(texts, tau, strategy);
+      engine.extractor->ExtractTexts(texts, tau);
   const auto fanout_us = static_cast<uint64_t>(fanout.ElapsedMicros());
   for (size_t j = 0; j < group.size(); ++j) fanout_us_.Record(fanout_us);
   if (!extraction.ok()) {

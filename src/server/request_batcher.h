@@ -20,14 +20,15 @@ namespace aeetes {
 namespace server {
 
 /// Coalesces queued extract requests into batches and runs them on the
-/// target engine's ParallelExtractor (ISSUE 8 tentpole #2). One dispatcher
-/// thread drains the queue: everything queued at wake-up that shares
-/// (engine, tau, strategy) becomes a single ExtractTextsWithStrategy call,
-/// so many small requests ride one fan-out over the engine's pool instead of
-/// paying per-request submission overhead. Per-document results return to
-/// each submitter in its original document order. The dispatcher only
-/// groups and fans out: the pool workers encode the texts and extract
-/// them, both const on the engine.
+/// target engine's ParallelExtractor. One dispatcher thread drains the
+/// queue: everything queued at wake-up that shares (engine, tau) becomes a
+/// single ExtractTexts call, so many small requests ride one fan-out over
+/// the engine's pool instead of paying per-request submission overhead.
+/// The filter strategy is the engine's own (AeetesOptions::strategy);
+/// requests cannot pick one. Per-document results return to each submitter
+/// in its original document order. The dispatcher only groups and fans
+/// out: the pool workers encode the texts and extract them, both const on
+/// the engine.
 ///
 /// Each job pins its engine via shared_ptr: a swap or delete between
 /// submit and dispatch retires the old engine only after the batch that
@@ -53,8 +54,6 @@ class RequestBatcher {
     std::shared_ptr<const ServingEngine> engine;
     std::vector<std::string> docs;
     double tau = 0.8;
-    FilterStrategy strategy = FilterStrategy::kLazy;
-    bool has_strategy = false;  // false -> engine's configured default
     DoneFn done;
     /// Set by Submit; the start of the job's `server.stage.queue_wait_us`.
     int64_t submitted_us = 0;
@@ -82,8 +81,8 @@ class RequestBatcher {
 
  private:
   void DispatchLoop() AEETES_EXCLUDES(mu_);
-  /// Runs one group of jobs that share (engine, tau, strategy) as a
-  /// single ExtractTextsWithStrategy pass, then fans results back out.
+  /// Runs one group of jobs that share (engine, tau) as a single
+  /// ExtractTexts pass, then fans results back out.
   void RunGroup(std::vector<Job> group);
 
   Options options_;

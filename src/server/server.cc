@@ -382,8 +382,6 @@ void Server::HandleExtract(Connection& conn, uint64_t seq, Request req) {
   job.engine = engine;
   job.docs = std::move(req.docs);
   job.tau = req.tau;
-  job.strategy = req.strategy;
-  job.has_strategy = req.has_strategy;
   const uint64_t conn_id = conn.id;
   job.done = [this, conn_id, seq, engine,
               start_us](Result<RequestBatcher::Outcome> outcome) {

@@ -117,7 +117,8 @@ Scenario MakeScenario(uint64_t seed) {
 /// Engine (a): entity and rule words interned as BuildFromText would, then
 /// every document and mention word, all before Build freezes the
 /// dictionary.
-std::unique_ptr<Aeetes> BuildInterned(const Scenario& s) {
+std::unique_ptr<Aeetes> BuildInterned(const Scenario& s,
+                                      const AeetesOptions& options = {}) {
   const Tokenizer tokenizer;
   auto dict = std::make_unique<TokenDictionary>();
   std::vector<TokenSeq> entities;
@@ -134,13 +135,15 @@ std::unique_ptr<Aeetes> BuildInterned(const Scenario& s) {
           dict->Encode(tokenizer.TokenizeToStrings(text));
     }
   }
-  auto built = Aeetes::Build(std::move(entities), rules, std::move(dict));
+  auto built =
+      Aeetes::Build(std::move(entities), rules, std::move(dict), options);
   EXPECT_TRUE(built.ok()) << built.status();
   return built.ok() ? std::move(*built) : nullptr;
 }
 
-std::unique_ptr<Aeetes> BuildPlain(const Scenario& s) {
-  auto built = Aeetes::BuildFromText(s.entities, s.rules);
+std::unique_ptr<Aeetes> BuildPlain(const Scenario& s,
+                                   const AeetesOptions& options = {}) {
+  auto built = Aeetes::BuildFromText(s.entities, s.rules, options);
   EXPECT_TRUE(built.ok()) << built.status();
   return built.ok() ? std::move(*built) : nullptr;
 }
@@ -237,27 +240,30 @@ TEST_P(EncodingEquivalenceTest, WithOverlayUsingNovelWords) {
 
 TEST_P(EncodingEquivalenceTest, ParallelChunkMode) {
   const Scenario s = MakeScenario(GetParam());
-  const auto interned = BuildInterned(s);
-  const auto plain = BuildPlain(s);
-  ASSERT_TRUE(interned != nullptr && plain != nullptr);
-  AttachOverlay(s, *interned);
-  AttachOverlay(s, *plain);
   ParallelExtractorOptions options;
   options.num_threads = 2;
   options.max_document_tokens = 16;
-  auto pa = ParallelExtractor::Create(*interned, options);
-  auto pb = ParallelExtractor::Create(*plain, options);
-  ASSERT_TRUE(pa.ok() && pb.ok());
-  std::vector<Document> da;
-  std::vector<Document> db;
-  for (const std::string& text : s.docs) {
-    da.push_back(interned->EncodeDocument(text));
-    db.push_back(plain->EncodeDocument(text));
-  }
   for (const FilterStrategy strategy : kStrategies) {
+    // ParallelExtractor runs its engine's configured strategy.
+    AeetesOptions engine_options;
+    engine_options.strategy = strategy;
+    const auto interned = BuildInterned(s, engine_options);
+    const auto plain = BuildPlain(s, engine_options);
+    ASSERT_TRUE(interned != nullptr && plain != nullptr);
+    AttachOverlay(s, *interned);
+    AttachOverlay(s, *plain);
+    auto pa = ParallelExtractor::Create(*interned, options);
+    auto pb = ParallelExtractor::Create(*plain, options);
+    ASSERT_TRUE(pa.ok() && pb.ok());
+    std::vector<Document> da;
+    std::vector<Document> db;
+    for (const std::string& text : s.docs) {
+      da.push_back(interned->EncodeDocument(text));
+      db.push_back(plain->EncodeDocument(text));
+    }
     for (const double tau : kTaus) {
-      auto ra = (*pa)->ExtractAllWithStrategy(da, tau, strategy);
-      auto rb = (*pb)->ExtractAllWithStrategy(db, tau, strategy);
+      auto ra = (*pa)->ExtractAll(da, tau);
+      auto rb = (*pb)->ExtractAll(db, tau);
       ASSERT_TRUE(ra.ok() && rb.ok());
       for (size_t d = 0; d < s.docs.size(); ++d) {
         const std::string context =

@@ -1,13 +1,18 @@
 #include "src/runtime/parallel_extractor.h"
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/datagen/generator.h"
 #include "src/datagen/profile.h"
+#include "src/io/snapshot.h"
 #include "src/sim/similarity.h"
 #include "tests/test_util.h"
 
@@ -64,17 +69,48 @@ class ParallelExtractorTest : public testing::Test {
     }
   }
 
+  /// One engine per filter strategy, with AeetesOptions::strategy set:
+  /// ParallelExtractor runs its engine's strategy. All are loaded from one
+  /// snapshot of aeetes_, so they share its token ids and encoded_ is
+  /// valid for each.
+  std::vector<std::unique_ptr<Aeetes>> EnginePerStrategy() const {
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("aeetes_parallel_test_" + std::to_string(::getpid()) + ".snap"))
+            .string();
+    std::vector<std::unique_ptr<Aeetes>> engines;
+    if (!SaveSnapshot(*aeetes_, path).ok()) {
+      ADD_FAILURE() << "SaveSnapshot " << path;
+      return engines;
+    }
+    for (FilterStrategy strategy :
+         {FilterStrategy::kSimple, FilterStrategy::kSkip,
+          FilterStrategy::kDynamic, FilterStrategy::kLazy}) {
+      AeetesOptions options = aeetes_->options();
+      options.strategy = strategy;
+      auto loaded = LoadSnapshot(path, options);
+      if (!loaded.ok()) {
+        ADD_FAILURE() << loaded.status();
+        break;
+      }
+      engines.push_back(std::move(*loaded));
+    }
+    std::error_code ec;
+    std::filesystem::remove(path, ec);  // the engines keep their mappings
+    return engines;
+  }
+
   SyntheticDataset ds_;
   std::unique_ptr<Aeetes> aeetes_;
   std::vector<Document> encoded_;
 };
 
 TEST_F(ParallelExtractorTest, MatchesSequentialLoopForEveryStrategy) {
-  const FilterStrategy strategies[] = {
-      FilterStrategy::kSimple, FilterStrategy::kSkip,
-      FilterStrategy::kDynamic, FilterStrategy::kLazy};
   const double tau = 0.8;
-  for (FilterStrategy strategy : strategies) {
+  const auto engines = EnginePerStrategy();
+  ASSERT_EQ(engines.size(), 4u);
+  for (const auto& engine : engines) {
+    const FilterStrategy strategy = engine->options().strategy;
     // Sequential reference: per-document results and aggregate stats.
     std::vector<Aeetes::ExtractionResult> serial;
     FilterStats serial_filter;
@@ -94,10 +130,9 @@ TEST_F(ParallelExtractorTest, MatchesSequentialLoopForEveryStrategy) {
                                   " threads=" + std::to_string(threads);
       ParallelExtractorOptions opts;
       opts.num_threads = threads;
-      auto extractor = ParallelExtractor::Create(*aeetes_, opts);
+      auto extractor = ParallelExtractor::Create(*engine, opts);
       ASSERT_TRUE(extractor.ok()) << context;
-      auto result =
-          (*extractor)->ExtractAllWithStrategy(encoded_, tau, strategy);
+      auto result = (*extractor)->ExtractAll(encoded_, tau);
       ASSERT_TRUE(result.ok()) << context;
       ASSERT_EQ(result->per_document.size(), encoded_.size()) << context;
       for (size_t d = 0; d < encoded_.size(); ++d) {
@@ -214,30 +249,30 @@ void ExpectSameDocument(const Document& got, const Document& want,
   }
 }
 
-/// ExtractTextsWithStrategy must equal EncodeDocument on every text
-/// followed by ExtractAllWithStrategy on the result: Documents, per-
-/// document matches and stats, and the aggregates.
-void ExpectTextEntryMatchesDocumentEntry(const Aeetes& aeetes,
-                                         const std::vector<std::string>& texts,
-                                         double tau,
-                                         const ParallelExtractorOptions& opts,
-                                         const std::string& context) {
-  std::vector<Document> encoded;
-  for (const std::string& text : texts) {
-    encoded.push_back(aeetes.EncodeDocument(text));
-  }
-  for (FilterStrategy strategy :
-       {FilterStrategy::kSimple, FilterStrategy::kSkip,
-        FilterStrategy::kDynamic, FilterStrategy::kLazy}) {
+/// For each engine, ExtractTexts must equal EncodeDocument on every text
+/// followed by ExtractAll on the result: Documents, per-document matches
+/// and stats, and the aggregates.
+void ExpectTextEntryMatchesDocumentEntry(
+    const std::vector<std::unique_ptr<Aeetes>>& engines,
+    const std::vector<std::string>& texts, double tau,
+    const ParallelExtractorOptions& opts, const std::string& context) {
+  ASSERT_FALSE(engines.empty()) << context;
+  for (const auto& engine : engines) {
+    const Aeetes& aeetes = *engine;
     const std::string ctx =
-        context + " " + std::string(FilterStrategyName(strategy));
+        context + " " +
+        std::string(FilterStrategyName(aeetes.options().strategy));
+    std::vector<Document> encoded;
+    for (const std::string& text : texts) {
+      encoded.push_back(aeetes.EncodeDocument(text));
+    }
     auto extractor = ParallelExtractor::Create(aeetes, opts);
     ASSERT_TRUE(extractor.ok()) << ctx;
-    auto want = (*extractor)->ExtractAllWithStrategy(encoded, tau, strategy);
+    auto want = (*extractor)->ExtractAll(encoded, tau);
     ASSERT_TRUE(want.ok()) << ctx;
     EXPECT_GT(want->total_matches, 0u)
         << ctx << ": the texts must exercise verification";
-    auto got = (*extractor)->ExtractTextsWithStrategy(texts, tau, strategy);
+    auto got = (*extractor)->ExtractTexts(texts, tau);
     ASSERT_TRUE(got.ok()) << ctx;
 
     ASSERT_EQ(got->documents.size(), texts.size()) << ctx;
@@ -276,11 +311,12 @@ TEST_F(ParallelExtractorTest, TextEntryEqualsEncodeThenExtract) {
   texts.push_back("");
   // Unknown words mixed into a known document.
   texts.push_back("qzxv " + ds_.documents.front() + " wvkkq");
+  const auto engines = EnginePerStrategy();
   for (size_t threads : {1u, 2u, 4u}) {
     ParallelExtractorOptions opts;
     opts.num_threads = threads;
     ExpectTextEntryMatchesDocumentEntry(
-        *aeetes_, texts, 0.8, opts, "threads=" + std::to_string(threads));
+        engines, texts, 0.8, opts, "threads=" + std::to_string(threads));
   }
 }
 
@@ -303,26 +339,27 @@ TEST_F(ParallelExtractorTest, TextEntryChunksOversizedDocuments) {
   opts.max_document_tokens = max_window + 9;
   auto extractor = ParallelExtractor::Create(*aeetes_, opts);
   ASSERT_TRUE(extractor.ok());
-  auto result = (*extractor)->ExtractTextsWithStrategy(
-      texts, tau, FilterStrategy::kLazy);
+  auto result = (*extractor)->ExtractTexts(texts, tau);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->extraction.per_document[1].chunks, 1u);
-  ExpectTextEntryMatchesDocumentEntry(*aeetes_, texts, tau, opts,
+  ExpectTextEntryMatchesDocumentEntry(EnginePerStrategy(), texts, tau, opts,
                                       "chunked");
 }
 
 TEST_F(ParallelExtractorTest, TextEntryEmptyAndBadThreshold) {
-  auto extractor = ParallelExtractor::Create(*aeetes_, {});
-  ASSERT_TRUE(extractor.ok());
-  auto empty = (*extractor)->ExtractTextsWithStrategy(
-      {}, 0.8, FilterStrategy::kLazy);
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty->documents.empty());
-  EXPECT_TRUE(empty->extraction.per_document.empty());
-  EXPECT_FALSE((*extractor)
-                   ->ExtractTextsWithStrategy(ds_.documents, 0.0,
-                                              FilterStrategy::kLazy)
-                   .ok());
+  const auto engines = EnginePerStrategy();
+  ASSERT_EQ(engines.size(), 4u);
+  for (const auto& engine : engines) {
+    const char* context = FilterStrategyName(engine->options().strategy);
+    auto extractor = ParallelExtractor::Create(*engine, {});
+    ASSERT_TRUE(extractor.ok()) << context;
+    auto empty = (*extractor)->ExtractTexts({}, 0.8);
+    ASSERT_TRUE(empty.ok()) << context;
+    EXPECT_TRUE(empty->documents.empty()) << context;
+    EXPECT_TRUE(empty->extraction.per_document.empty()) << context;
+    EXPECT_FALSE((*extractor)->ExtractTexts(ds_.documents, 0.0).ok())
+        << context;
+  }
 }
 
 class ChunkingTest : public ParallelExtractorTest {

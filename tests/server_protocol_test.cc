@@ -125,14 +125,12 @@ TEST(JsonTest, EnforcesDepthAndValueLimits) {
 TEST(ParseRequestTest, ParsesExtractWithAllKnobs)  {
   auto req = ParseRequest(
       R"({"verb":"extract","collection":"inst","tenant":"acme",)"
-      R"("tau":0.7,"strategy":"skip","docs":["a","b"]})");
+      R"("tau":0.7,"docs":["a","b"]})");
   ASSERT_TRUE(req.ok()) << req.status();
   EXPECT_EQ(req->verb, Verb::kExtract);
   EXPECT_EQ(req->collection, "inst");
   EXPECT_EQ(req->tenant, "acme");
   EXPECT_DOUBLE_EQ(req->tau, 0.7);
-  EXPECT_TRUE(req->has_strategy);
-  EXPECT_EQ(req->strategy, FilterStrategy::kSkip);
   ASSERT_EQ(req->docs.size(), 2u);
 }
 
@@ -142,7 +140,6 @@ TEST(ParseRequestTest, DefaultsTenantAndTau) {
   ASSERT_TRUE(req.ok()) << req.status();
   EXPECT_EQ(req->tenant, "default");
   EXPECT_DOUBLE_EQ(req->tau, 0.8);
-  EXPECT_FALSE(req->has_strategy);
 }
 
 TEST(ParseRequestTest, RejectsBadRequests) {
@@ -159,9 +156,14 @@ TEST(ParseRequestTest, RejectsBadRequests) {
       R"({"verb":"extract","collection":"c","tau":0,"docs":[]})").ok());
   EXPECT_FALSE(ParseRequest(
       R"({"verb":"extract","collection":"c","tau":1.5,"docs":[]})").ok());
-  EXPECT_FALSE(ParseRequest(
-      R"({"verb":"extract","collection":"c","strategy":"warp","docs":[]})")
-          .ok());
+  // The filter strategy belongs to the engine; naming one in a request,
+  // even a valid one, is a typed error that names the field.
+  auto with_strategy = ParseRequest(
+      R"({"verb":"extract","collection":"c","strategy":"lazy","docs":[]})");
+  ASSERT_FALSE(with_strategy.ok());
+  EXPECT_EQ(with_strategy.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(with_strategy.status().message().find("strategy"),
+            std::string::npos);
   EXPECT_FALSE(ParseRequest(R"({"verb":"load","collection":"c"})").ok());
   EXPECT_FALSE(ParseRequest(R"({"verb":"create","collection":"c"})").ok());
 }
@@ -199,16 +201,6 @@ TEST(ErrorResponseTest, MapsStatusCodesToProtocolCodes) {
   EXPECT_DOUBLE_EQ(parsed->Find("code")->AsDouble(), 404);
   EXPECT_NE(parsed->Find("error")->AsString().find("no such thing"),
             std::string::npos);
-}
-
-TEST(StrategyNameTest, RoundTrips) {
-  for (const char* name : {"simple", "skip", "dynamic", "lazy"}) {
-    FilterStrategy strategy;
-    ASSERT_TRUE(ParseStrategyName(name, &strategy)) << name;
-    EXPECT_STREQ(StrategyName(strategy), name);
-  }
-  FilterStrategy strategy;
-  EXPECT_FALSE(ParseStrategyName("Lazy", &strategy));
 }
 
 }  // namespace

@@ -239,6 +239,19 @@ TEST_F(ServerTest, MalformedRequestsGetTypedErrors) {
       R"({"verb":"extract","collection":"c","tau":7,"docs":["x"]})");
   EXPECT_DOUBLE_EQ(bad_tau.Find("code")->AsDouble(), kBadRequest);
 
+  // The filter strategy is the engine's: a request naming one, even for a
+  // live collection, is rejected with an error that names the field.
+  ASSERT_TRUE(Call(*client, kCreateInst).Find("ok")->AsBool());
+  JsonValue with_strategy = Call(
+      *client,
+      R"({"verb":"extract","collection":"inst","strategy":"lazy",)"
+      R"("docs":["mit"]})");
+  ASSERT_FALSE(with_strategy.Find("ok")->AsBool());
+  EXPECT_DOUBLE_EQ(with_strategy.Find("code")->AsDouble(), kBadRequest);
+  ASSERT_NE(with_strategy.Find("error"), nullptr);
+  EXPECT_NE(with_strategy.Find("error")->AsString().find("strategy"),
+            std::string::npos);
+
   // The connection survives malformed payloads (only framing kills it).
   EXPECT_TRUE(Call(*client, R"({"verb":"healthz"})").Find("ok")->AsBool());
 }

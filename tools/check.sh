@@ -13,8 +13,9 @@
 #   release     Release build + ctest
 #   smoke       Release aeetes_cli --stats=json over data/institutions,
 #               validating the metrics snapshot is well-formed JSON and
-#               that --threads=4 output (TSV rows + stats counters) is
-#               identical to the --threads=1 run; also validates the
+#               that, for each of the four filter strategies, --threads=4
+#               output (TSV rows + stats counters) is identical to the
+#               --threads=1 run; also validates the
 #               --stats=prom Prometheus exposition (line grammar, TYPE
 #               declarations, cumulative le buckets, +Inf == _count)
 #   bench-smoke Release bench_fig9_end_to_end on data/institutions
@@ -227,41 +228,47 @@ step_release() {
 
 threads_smoke() {
   # threads_smoke <aeetes_cli binary>
-  # The concurrent runtime must not change results: the TSV match rows and
-  # the stats counters of a --threads=4 run must equal the --threads=1
-  # run. (Histograms and build-time gauges are timing-dependent, so only
-  # the counters section is compared.)
+  # The concurrent runtime must not change results: for every filter
+  # strategy, the TSV match rows and the stats counters of a --threads=4
+  # run must equal the --threads=1 run. The strategy is set on the engine
+  # at build time, so this also checks that it reaches the pool workers.
+  # (Histograms and build-time gauges are timing-dependent, so only the
+  # counters section is compared.)
   local cli="$1"
   local data=data/institutions
-  local out1 out4
-  out1=$("$cli" "$data/entities.txt" "$data/rules.txt" \
-        "$data/documents.txt" 0.8 lazy --stats=json --threads=1 \
-        2>/dev/null) || { echo "--threads=1 run failed"; return 1; }
-  out4=$("$cli" "$data/entities.txt" "$data/rules.txt" \
-        "$data/documents.txt" 0.8 lazy --stats=json --threads=4 \
-        2>/dev/null) || { echo "--threads=4 run failed"; return 1; }
-  if [ "$(printf '%s\n' "$out1" | head -n -1)" \
-       != "$(printf '%s\n' "$out4" | head -n -1)" ]; then
-    echo "TSV rows differ between --threads=1 and --threads=4"
-    return 1
-  fi
-  if command -v python3 >/dev/null 2>&1; then
-    python3 - "$(printf '%s\n' "$out1" | tail -n 1)" \
-              "$(printf '%s\n' "$out4" | tail -n 1)" <<'EOF' || return 1
+  local strategy out1 out4
+  for strategy in simple skip dynamic lazy; do
+    out1=$("$cli" "$data/entities.txt" "$data/rules.txt" \
+          "$data/documents.txt" 0.8 "$strategy" --stats=json --threads=1 \
+          2>/dev/null) || { echo "$strategy --threads=1 run failed"; return 1; }
+    out4=$("$cli" "$data/entities.txt" "$data/rules.txt" \
+          "$data/documents.txt" 0.8 "$strategy" --stats=json --threads=4 \
+          2>/dev/null) || { echo "$strategy --threads=4 run failed"; return 1; }
+    if [ "$(printf '%s\n' "$out1" | head -n -1)" \
+         != "$(printf '%s\n' "$out4" | head -n -1)" ]; then
+      echo "$strategy: TSV rows differ between --threads=1 and --threads=4"
+      return 1
+    fi
+    if command -v python3 >/dev/null 2>&1; then
+      python3 - "$strategy" "$(printf '%s\n' "$out1" | tail -n 1)" \
+                "$(printf '%s\n' "$out4" | tail -n 1)" <<'EOF' || return 1
 import json, sys
-a = json.loads(sys.argv[1])["counters"]
-b = json.loads(sys.argv[2])["counters"]
-assert a == b, f"stats counters diverge between thread counts:\n{a}\n{b}"
-assert a.get("extract.calls", 0) > 0, "no extract calls recorded"
+strategy = sys.argv[1]
+a = json.loads(sys.argv[2])["counters"]
+b = json.loads(sys.argv[3])["counters"]
+assert a == b, f"{strategy}: counters diverge between thread counts:\n{a}\n{b}"
+assert a.get("extract.calls", 0) > 0, f"{strategy}: no extract calls recorded"
 EOF
-  else
-    # Counters are the first JSON section; byte-compare it.
-    local c1 c4
-    c1=$(printf '%s' "$out1" | tail -n 1 | sed 's/.*"counters"://;s/}.*/}/')
-    c4=$(printf '%s' "$out4" | tail -n 1 | sed 's/.*"counters"://;s/}.*/}/')
-    [ -n "$c1" ] && [ "$c1" = "$c4" ] || {
-      echo "stats counters diverge between thread counts"; return 1; }
-  fi
+    else
+      # Counters are the first JSON section; byte-compare it.
+      local c1 c4
+      c1=$(printf '%s' "$out1" | tail -n 1 | sed 's/.*"counters"://;s/}.*/}/')
+      c4=$(printf '%s' "$out4" | tail -n 1 | sed 's/.*"counters"://;s/}.*/}/')
+      [ -n "$c1" ] && [ "$c1" = "$c4" ] || {
+        echo "$strategy: stats counters diverge between thread counts"
+        return 1; }
+    fi
+  done
 }
 
 step_smoke() {
